@@ -21,6 +21,12 @@ cargo build --release --workspace --offline
 echo "== cargo test"
 cargo test -q --workspace --offline
 
+echo "== perfbench builds and tests against the public API"
+# The benchmark is a workspace of its own that drives the crates
+# through their public APIs; building and testing it here makes an API
+# change that breaks it fail tier-1 CI, not the benchmark pipeline.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench smoke + regression compare"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

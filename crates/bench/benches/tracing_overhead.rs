@@ -4,9 +4,10 @@
 //! reference.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gscalar_core::{Arch, Runner};
+use gscalar_core::{Arch, Probes, Runner};
+use gscalar_power::PowerTimeline;
 use gscalar_profile::Profiler;
-use gscalar_sim::{Gpu, GpuConfig, MetricsObserver, NullObserver};
+use gscalar_sim::{GpuConfig, MetricsObserver};
 use gscalar_trace::{EventBuf, Tracer};
 use gscalar_workloads::{by_abbr, Scale};
 use std::hint::black_box;
@@ -24,12 +25,13 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| black_box(runner.run(&w, Arch::GScalar).stats.cycles))
     });
 
-    // Explicit off-tracer through the traced entry point: measures the
-    // dispatch overhead of the Option branch alone.
-    g.bench_function("off/run_traced", |b| {
+    // Every probe off through the one entry point: tracer off,
+    // profiler off, no observer, no clock — measures the untaken
+    // branches alone.
+    g.bench_function("off/run_with", |b| {
         b.iter(|| {
-            let mut t = Tracer::off();
-            black_box(runner.run_traced(&w, Arch::GScalar, &mut t, 0).stats.cycles)
+            let report = runner.run_with(&w, Arch::GScalar, &mut Probes::default());
+            black_box(report.expect("no budget set").stats.cycles)
         })
     });
 
@@ -37,86 +39,69 @@ fn bench_overhead(c: &mut Criterion) {
     g.bench_function("on/event_buf", |b| {
         b.iter(|| {
             let mut buf = EventBuf::new(1 << 16);
-            let mut t = Tracer::new(&mut buf);
-            let cycles = runner
-                .run_traced(&w, Arch::GScalar, &mut t, 64)
-                .stats
-                .cycles;
-            black_box((cycles, buf.len()))
-        })
-    });
-
-    // Metrics-off: the observed entry point with a null observer and no
-    // sampling — measures the per-iteration interval check alone.
-    g.bench_function("metrics-off/run_observed", |b| {
-        b.iter(|| {
-            let mut gpu = Gpu::new(GpuConfig::test_small(), Arch::GScalar.config());
-            let mut mem = w.memory.clone();
-            let stats = gpu.run_observed(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                0,
-                &mut NullObserver,
-            );
-            black_box(stats.cycles)
+            let mut probes = Probes {
+                tracer: Tracer::new(&mut buf),
+                interval: 64,
+                ..Probes::default()
+            };
+            let report = runner.run_with(&w, Arch::GScalar, &mut probes);
+            drop(probes);
+            black_box((report.expect("no budget set").stats.cycles, buf.len()))
         })
     });
 
     // Metrics-on: registry observer with 64-cycle interval series.
-    g.bench_function("metrics-on/run_observed", |b| {
+    g.bench_function("metrics-on/run_with", |b| {
         b.iter(|| {
-            let mut gpu = Gpu::new(GpuConfig::test_small(), Arch::GScalar.config());
-            let mut mem = w.memory.clone();
             let mut obs = MetricsObserver::new();
-            let stats = gpu.run_observed(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                64,
-                &mut obs,
-            );
-            black_box((stats.cycles, obs.into_registry().flatten().len()))
-        })
-    });
-
-    // Profiler-off: the profiled entry point with a disabled profiler —
-    // measures the per-hook `Option` checks alone (same ≤2% target as
-    // the off-tracer path).
-    g.bench_function("profile-off/run_profiled", |b| {
-        b.iter(|| {
-            let mut gpu = Gpu::new(GpuConfig::test_small(), Arch::GScalar.config());
-            let mut mem = w.memory.clone();
-            let stats = gpu.run_profiled(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                &mut Profiler::off(),
-            );
-            black_box(stats.cycles)
+            let mut probes = Probes {
+                observers: vec![&mut obs],
+                interval: 64,
+                ..Probes::default()
+            };
+            let report = runner.run_with(&w, Arch::GScalar, &mut probes);
+            drop(probes);
+            let cycles = report.expect("no budget set").stats.cycles;
+            black_box((cycles, obs.into_registry().flatten().len()))
         })
     });
 
     // Profiler-on: full per-PC attribution (issues, stalls, classes,
     // latencies, compressor outcomes, branch paths).
-    g.bench_function("profile-on/run_profiled", |b| {
+    g.bench_function("profile-on/run_with", |b| {
         b.iter(|| {
-            let run = runner.run_profiled(&w, Arch::GScalar);
-            black_box((run.report.stats.cycles, run.profile.total_issues()))
+            let mut probes = Probes {
+                profiler: Profiler::for_kernel(0, w.kernel.name(), w.kernel.len()),
+                ..Probes::default()
+            };
+            let report = runner.run_with(&w, Arch::GScalar, &mut probes);
+            let profile = probes.profiler.into_profile().expect("profiler on");
+            black_box((
+                report.expect("no budget set").stats.cycles,
+                profile.total_issues(),
+            ))
         })
     });
 
-    // Full instrumentation: registry + interval power timeline +
-    // energy/power summary gauges (what the `--json` bench path uses).
-    g.bench_function("metrics-on/run_metered", |b| {
+    // Full instrumentation: registry plus interval power timeline.
+    g.bench_function("metered/run_with", |b| {
         b.iter(|| {
-            let run = runner.run_metered(&w, Arch::GScalar, 64);
-            black_box((run.report.stats.cycles, run.timeline.intervals().len()))
+            let mut obs = MetricsObserver::new();
+            let mut timeline = PowerTimeline::new(
+                runner.config(),
+                Arch::GScalar.rf_scheme(),
+                Arch::GScalar.has_codec(),
+                runner.energy().clone(),
+            );
+            let mut probes = Probes {
+                observers: vec![&mut obs, &mut timeline],
+                interval: 64,
+                ..Probes::default()
+            };
+            let report = runner.run_with(&w, Arch::GScalar, &mut probes);
+            drop(probes);
+            let cycles = report.expect("no budget set").stats.cycles;
+            black_box((cycles, timeline.intervals().len()))
         })
     });
     g.finish();

@@ -36,8 +36,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gscalar_bench::Report;
-use gscalar_core::{Arch, Runner};
-use gscalar_profile::{annotate, branch_markdown, hotspot_markdown};
+use gscalar_core::{Arch, Probes, Runner};
+use gscalar_metrics::MetricsRegistry;
+use gscalar_profile::{annotate, branch_markdown, hotspot_markdown, Profiler};
 use gscalar_sim::GpuConfig;
 use gscalar_workloads::{by_abbr, divergent_example, Scale};
 
@@ -89,9 +90,15 @@ fn main() -> ExitCode {
 
     let cfg = GpuConfig::test_small();
     let runner = Runner::new(cfg.clone());
-    let run = runner.run_profiled(&workload, Arch::GScalar);
-    let stats = &run.report.stats;
-    let profile = &run.profile;
+    let mut probes = Probes {
+        profiler: Profiler::for_kernel(0, workload.kernel.name(), workload.kernel.len()),
+        ..Probes::default()
+    };
+    let report = runner
+        .run_with(&workload, Arch::GScalar, &mut probes)
+        .expect("no budget set");
+    let stats = &report.stats;
+    let profile = &probes.profiler.into_profile().expect("profiler on");
 
     // Reconciliation gate: the per-PC attribution must account for
     // every issue slot and every idle scheduler cycle, exactly.
@@ -136,7 +143,7 @@ fn main() -> ExitCode {
     println!(
         "workload {:<12} arch {:<10} cycles {:>8}  executed PCs {:>3}/{:<3}  issues {:>8}",
         workload.name,
-        run.report.arch.label(),
+        report.arch.label(),
         stats.cycles,
         executed.len(),
         workload.kernel.len(),
@@ -146,8 +153,14 @@ fn main() -> ExitCode {
 
     let mut r = Report::new("profile");
     r.config(&cfg);
-    r.record_run(&workload.abbr, &run.report);
-    for (path, v) in run.registry.flatten() {
+    r.record_run(&workload.abbr, &report);
+    // Aggregate counters under `gpu/…` and the schema-versioned per-PC
+    // tables under `profile/k<id>/pc<PC>/…` (zero-padded keys, so the
+    // manifest is byte-stable).
+    let mut registry = MetricsRegistry::new();
+    stats.export(&mut registry.scope("gpu"));
+    profile.export(&mut registry.scope("profile"));
+    for (path, v) in registry.flatten() {
         r.metric(&path, v);
     }
     r.finish();

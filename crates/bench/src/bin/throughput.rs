@@ -13,10 +13,12 @@
 //! cargo run --release --bin throughput -- --scale test --json BENCH_throughput.json
 //! ```
 //!
-//! Every metric in the manifest lives under `host/`, so `report
-//! compare` treats the whole file as informational: the committed
-//! `BENCH_throughput.json` is a trend record, never a hard gate —
-//! wall-clock jitter cannot fail CI.
+//! Every metric in the manifest lives under `host/`, which `report
+//! compare` treats as informational by default, so the committed
+//! `BENCH_throughput.json` is mostly a trend record. One number is a
+//! hard gate: `ci.sh` passes `--gate-min
+//! host/serial/cycles_per_host_s=10`, failing CI when aggregate serial
+//! throughput drops more than 10% below the committed file.
 //!
 //! With `--json <path>`, a Chrome trace-event host timeline is also
 //! written next to the manifest as `<stem>.timeline.json` (open in

@@ -35,8 +35,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let cfg = GpuConfig::gtx480();
         let mut sim = JobSim::new(ctx);
         let run = |compiler: bool, sim: &mut JobSim| {
-            let mut arch = Arch::GScalar.config();
-            arch.compiler_assisted_moves = compiler;
+            let arch = Arch::GScalar.with(|a| a.compiler_assisted_moves = compiler);
             sim.run_stats(&cfg, arch, w)
         };
         let hw = run(false, &mut sim)?;

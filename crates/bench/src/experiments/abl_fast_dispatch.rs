@@ -26,9 +26,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let cfg = GpuConfig::gtx480();
         let mut sim = JobSim::new(ctx);
         let run = |fast: bool, arch: Arch, sim: &mut JobSim| {
-            let mut a = arch.config();
-            a.scalar_fast_dispatch = fast;
-            sim.run_stats(&cfg, a, w)
+            sim.run_stats(&cfg, arch.with(|a| a.scalar_fast_dispatch = fast), w)
         };
         let base_s = run(false, Arch::Baseline, &mut sim)?;
         let gs_s = run(false, Arch::GScalar, &mut sim)?;

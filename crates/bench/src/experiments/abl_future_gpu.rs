@@ -44,7 +44,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let mut sim = JobSim::new(ctx);
         let mut out = JobOutput::default();
         let run = |cfg: &GpuConfig, arch: Arch, sim: &mut JobSim| {
-            let s = sim.run_stats(cfg, arch.config(), w)?;
+            let s = sim.run_stats(cfg, arch, w)?;
             Ok::<(u64, f64), gscalar_sweep::JobError>((
                 s.cycles,
                 1000.0 * s.pipe.scalar_bank_serializations as f64 / s.instr.warp_instrs as f64,

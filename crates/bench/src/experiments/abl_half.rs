@@ -23,27 +23,20 @@ pub const NAME: &str = "abl_half";
 /// byte-wise RF scheme).
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
     suite_grid(NAME, scale, |w, ctx| {
-        let cfg = GpuConfig::gtx480();
-        let runner = gscalar_core::Runner::new(cfg.clone());
+        let runner = gscalar_core::Runner::new(GpuConfig::gtx480());
         let mut sim = JobSim::new(ctx);
         let base = sim.run(&runner, w, Arch::Baseline)?;
         let with = sim.run(&runner, w, Arch::GScalar)?;
-        let mut arch = Arch::GScalar.config();
-        arch.scalar_half = false;
-        arch.name = "G-Scalar w/o half".into();
-        let stats = sim.run_stats(&cfg, arch, w)?;
-        let power = gscalar_power::chip_power(
-            &stats,
-            &cfg,
-            gscalar_power::RfScheme::ByteWise,
-            true,
-            runner.energy(),
-        );
+        let no_half_arch = Arch::GScalar.with(|a| {
+            a.scalar_half = false;
+            a.name = "G-Scalar w/o half".into();
+        });
+        let without = sim.run(&runner, w, no_half_arch)?;
         let b = base.power.ipc_per_watt();
-        let no_half = power.ipc_per_watt() / b;
+        let no_half = without.power.ipc_per_watt() / b;
         let half = with.power.ipc_per_watt() / b;
         let mut out = JobOutput {
-            sim_cycles: base.stats.cycles + with.stats.cycles + stats.cycles,
+            sim_cycles: base.stats.cycles + with.stats.cycles + without.stats.cycles,
             ..JobOutput::default()
         };
         out.metric("no-half", no_half);

@@ -32,9 +32,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let mut out = JobOutput::default();
         let mut base = 0.0;
         for d in DEPTHS {
-            let mut arch = Arch::GScalar.config();
-            arch.extra_latency = d;
-            let s = sim.run_stats(&cfg, arch, w)?;
+            let s = sim.run_stats(&cfg, Arch::GScalar.with(|a| a.extra_latency = d), w)?;
             out.sim_cycles += s.cycles;
             if d == 0 {
                 base = s.ipc();

@@ -35,7 +35,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let run = |policy: SchedPolicy, sim: &mut JobSim| {
             let mut cfg = GpuConfig::gtx480();
             cfg.sched = policy;
-            sim.run_stats(&cfg, Arch::AluScalar.config(), w)
+            sim.run_stats(&cfg, Arch::AluScalar, w)
         };
         let gto = run(SchedPolicy::Gto, &mut sim)?;
         let lrr = run(SchedPolicy::Lrr, &mut sim)?;

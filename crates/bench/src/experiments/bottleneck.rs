@@ -2,10 +2,10 @@
 //! and validated what-if projections (see `gscalar-analyze`).
 //!
 //! One job per benchmark. The baseline simulation runs once with the
-//! event tracer and a per-SM observer attached, yielding — from a
-//! single run — the merged and per-SM scheduler ledgers (CPI stacks),
-//! the stall-event stream (critical-path chains) and the MSHR occupancy
-//! histogram (MLP profile). Every stack is then *reconciled*: kernel,
+//! event tracer attached, yielding — from a single run — the merged
+//! and per-SM scheduler ledgers (CPI stacks), the stall-event stream
+//! (critical-path chains) and the MSHR occupancy histogram (MLP
+//! profile). Every stack is then *reconciled*: kernel,
 //! per-SM and per-scheduler views must all sum exactly to their
 //! elapsed slots, and any breach fails the job (and the binary exits
 //! nonzero). Finally each [`WhatIf`] idealization is projected
@@ -15,7 +15,7 @@
 
 use gscalar_analyze::{analyze_trace, CpiStack, MlpProfile, Projection, WhatIf, COMPONENT_LABELS};
 use gscalar_core::Arch;
-use gscalar_sim::{Gpu, GpuConfig, RunObserver, Stats};
+use gscalar_sim::{Gpu, GpuConfig, Probes, RunOutput};
 use gscalar_sweep::{JobError, JobOutput, JobSpec, ResultSet};
 use gscalar_trace::{EventBuf, Tracer};
 use gscalar_workloads::{suite, Scale};
@@ -35,20 +35,6 @@ const TRACE_CAPACITY: usize = 1 << 16;
 /// How many chains / culprit warps the manifest keeps per benchmark.
 const TOP: usize = 4;
 
-/// Captures the per-SM statistics the run's `finish` callback exposes.
-#[derive(Default)]
-struct PerSmCapture {
-    per_sm: Vec<Stats>,
-}
-
-impl RunObserver for PerSmCapture {
-    fn sample(&mut self, _cycle: u64, _stats: &Stats) {}
-
-    fn finish(&mut self, _cycle: u64, _merged: &Stats, per_sm: &[Stats]) {
-        self.per_sm = per_sm.to_vec();
-    }
-}
-
 /// One job per benchmark: baseline traced run + 4 idealized re-runs.
 pub fn grid(scale: Scale) -> Vec<JobSpec> {
     suite_grid(NAME, scale, |w, ctx| {
@@ -59,19 +45,13 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         let mut gpu = Gpu::new(cfg.clone(), Arch::Baseline.config());
         let mut mem = w.memory.clone();
         let mut buf = EventBuf::new(TRACE_CAPACITY);
-        let mut capture = PerSmCapture::default();
-        let stats = {
-            let mut tracer = Tracer::new(&mut buf);
-            gpu.run_observed(
-                &w.kernel,
-                w.launch,
-                &mut mem,
-                &mut tracer,
-                0,
-                0,
-                &mut capture,
-            )
+        let mut probes = Probes {
+            tracer: Tracer::new(&mut buf),
+            ..Probes::default()
         };
+        let run = gpu.run_with(&w.kernel, w.launch, &mut mem, &mut probes);
+        drop(probes);
+        let RunOutput { stats, per_sm } = run.expect("no budget set");
         sim.charge(stats.cycles)?;
 
         // CPI stacks at every granularity, all hard-reconciled.
@@ -80,7 +60,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
             JobError::Failed(format!("{}: {view} {e}", w.abbr))
         };
         stack.reconcile().map_err(|e| breach("kernel", e))?;
-        for (i, sm_stats) in capture.per_sm.iter().enumerate() {
+        for (i, sm_stats) in per_sm.iter().enumerate() {
             CpiStack::sm(sm_stats, stats.cycles)
                 .reconcile()
                 .map_err(|e| breach(&format!("sm{i}"), e))?;
@@ -135,7 +115,7 @@ pub fn grid(scale: Scale) -> Vec<JobSpec> {
         // What-if studies: analytic projection vs a real idealized run.
         for wi in WhatIf::ALL {
             let ideal_cfg = wi.apply(&cfg);
-            let ideal = sim.run_stats(&ideal_cfg, Arch::Baseline.config(), w)?;
+            let ideal = sim.run_stats(&ideal_cfg, Arch::Baseline, w)?;
             let proj = Projection::new(wi, &stack, &stats, &cfg, ideal.cycles);
             let l = wi.label();
             out.metric(p(&format!("whatif/{l}/ideal_cycles")), ideal.cycles as f64);

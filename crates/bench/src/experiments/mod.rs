@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gscalar_core::{Arch, BudgetExceeded, RunReport, Runner, Workload};
+use gscalar_core::{Probes, RunReport, Runner, Variant, Workload};
 use gscalar_sim::GpuConfig;
 use gscalar_sweep::{
     run_sweep, JobCtx, JobError, JobOutput, JobSpec, Progress, ResultSet, SweepConfig,
@@ -120,10 +120,10 @@ pub fn by_name(name: &str) -> Option<Experiment> {
 /// A job often runs several simulations (architecture variants, config
 /// sweeps); the budget in [`JobCtx`] covers their *sum*. `JobSim`
 /// threads the remaining allowance into each budgeted run and converts
-/// a [`BudgetExceeded`] into the job-level [`JobError::Budget`] with
-/// cumulative cycle counts. When the allowance is already exhausted the
-/// next run gets a budget of 1 cycle, so it trips deterministically on
-/// its first observer sample.
+/// a [`gscalar_core::BudgetExceeded`] into the job-level
+/// [`JobError::Budget`] with cumulative cycle counts. When the
+/// allowance is already exhausted the next run gets a budget of 1
+/// cycle, so it trips deterministically on its first clock tick.
 pub struct JobSim {
     budget: u64,
     used: u64,
@@ -161,7 +161,8 @@ impl JobSim {
         }
     }
 
-    /// Runs `workload` on `arch` under the remaining budget.
+    /// Runs `workload` on `arch` — a preset or an ablation
+    /// [`Variant`] — under the remaining budget.
     ///
     /// # Errors
     ///
@@ -170,9 +171,13 @@ impl JobSim {
         &mut self,
         runner: &Runner,
         workload: &Workload,
-        arch: Arch,
+        arch: impl Into<Variant>,
     ) -> Result<RunReport, JobError> {
-        match runner.run_budgeted(workload, arch, self.remaining()) {
+        let mut probes = Probes {
+            budget: self.remaining(),
+            ..Probes::default()
+        };
+        match runner.run_with(workload, arch, &mut probes) {
             Ok(r) => {
                 self.used += r.stats.cycles;
                 Ok(r)
@@ -181,8 +186,8 @@ impl JobSim {
         }
     }
 
-    /// Runs `workload` under a custom [`gscalar_sim::ArchConfig`] with
-    /// the remaining budget.
+    /// [`JobSim::run`] on hardware configuration `cfg`, keeping only
+    /// the statistics.
     ///
     /// # Errors
     ///
@@ -190,21 +195,16 @@ impl JobSim {
     pub fn run_stats(
         &mut self,
         cfg: &GpuConfig,
-        arch_cfg: gscalar_sim::ArchConfig,
+        arch: impl Into<Variant>,
         workload: &Workload,
     ) -> Result<gscalar_sim::Stats, JobError> {
-        match gscalar_core::run_stats_budgeted(cfg, arch_cfg, workload, self.remaining()) {
-            Ok(s) => {
-                self.used += s.cycles;
-                Ok(s)
-            }
-            Err(BudgetExceeded { cycles, .. }) => Err(self.overrun(cycles)),
-        }
+        Ok(self.run(&Runner::new(cfg.clone()), workload, arch)?.stats)
     }
 
-    /// Post-hoc accounting for runs without a budgeted entry point
-    /// (e.g. profiled runs): charge the cycles and fail if the
-    /// cumulative budget is now exceeded.
+    /// Post-hoc accounting for runs that do not abort in-run (the
+    /// profiled and traced runs, which keep the cycle a failed job
+    /// reports): charge the cycles and fail if the cumulative budget is
+    /// now exceeded.
     ///
     /// # Errors
     ///

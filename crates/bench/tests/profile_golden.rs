@@ -11,15 +11,22 @@
 
 use std::path::PathBuf;
 
-use gscalar_core::{Arch, Runner};
-use gscalar_profile::{annotate, branch_markdown, hotspot_markdown, KernelProfile};
+use gscalar_core::{Arch, Probes, Runner};
+use gscalar_profile::{annotate, branch_markdown, hotspot_markdown, KernelProfile, Profiler};
 use gscalar_sim::GpuConfig;
 use gscalar_workloads::divergent_example;
 
 fn profiled_fixture() -> (gscalar_core::Workload, KernelProfile) {
     let w = divergent_example();
-    let run = Runner::new(GpuConfig::test_small()).run_profiled(&w, Arch::GScalar);
-    (w, run.profile)
+    let mut probes = Probes {
+        profiler: Profiler::for_kernel(0, w.kernel.name(), w.kernel.len()),
+        ..Probes::default()
+    };
+    Runner::new(GpuConfig::test_small())
+        .run_with(&w, Arch::GScalar, &mut probes)
+        .expect("no budget set");
+    let profile = probes.profiler.into_profile().expect("profiler on");
+    (w, profile)
 }
 
 fn check_golden(name: &str, actual: &str) {

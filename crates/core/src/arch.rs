@@ -89,6 +89,37 @@ impl Arch {
     }
 }
 
+/// What a run simulates: a Figure 11 preset plus the simulator flags to
+/// run it with — the preset's own ([`From<Arch>`]) or, for ablations,
+/// edited ones ([`Arch::with`]). Power is accounted under the preset's
+/// register-file scheme and codec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Variant {
+    /// The preset whose power model applies.
+    pub arch: Arch,
+    /// The simulator flags actually run.
+    pub config: ArchConfig,
+}
+
+impl From<Arch> for Variant {
+    fn from(arch: Arch) -> Self {
+        Variant {
+            arch,
+            config: arch.config(),
+        }
+    }
+}
+
+impl Arch {
+    /// This preset with its simulator flags changed by `edit`.
+    #[must_use]
+    pub fn with(self, edit: impl FnOnce(&mut ArchConfig)) -> Variant {
+        let mut v = Variant::from(self);
+        edit(&mut v.config);
+        v
+    }
+}
+
 impl std::fmt::Display for Arch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())

@@ -40,7 +40,6 @@ pub mod arch;
 pub mod rng;
 pub mod runner;
 
-pub use arch::Arch;
-pub use runner::{
-    run_stats_budgeted, BudgetExceeded, MeteredRun, ProfiledRun, RunReport, Runner, Workload,
-};
+pub use arch::{Arch, Variant};
+pub use gscalar_sim::{BudgetExceeded, Probes};
+pub use runner::{RunReport, Runner, Workload};

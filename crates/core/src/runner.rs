@@ -1,16 +1,11 @@
 //! Workload container and the high-level simulation runner.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
 use gscalar_isa::{Kernel, LaunchConfig};
-use gscalar_metrics::MetricsRegistry;
-use gscalar_power::{chip_power, EnergyModel, PowerReport, PowerTimeline, RfScheme};
-use gscalar_profile::{KernelProfile, Profiler};
+use gscalar_power::{chip_power, EnergyModel, PowerReport, RfScheme};
 use gscalar_sim::memory::GlobalMemory;
-use gscalar_sim::{Gpu, GpuConfig, LiveObserver, MetricsObserver, RunObserver, Stats};
-use gscalar_trace::Tracer;
+use gscalar_sim::{BudgetExceeded, Gpu, GpuConfig, LiveObserver, Probes, Stats};
 
-use crate::arch::Arch;
+use crate::arch::{Arch, Variant};
 
 /// A complete, runnable workload: kernel + launch shape + input memory
 /// image.
@@ -65,203 +60,6 @@ impl RunReport {
     pub fn ipc_per_watt(&self) -> f64 {
         self.power.ipc_per_watt()
     }
-}
-
-/// A fully-instrumented run: report plus interval power timeline plus a
-/// populated metrics registry (see [`Runner::run_metered`]).
-#[derive(Debug)]
-pub struct MeteredRun {
-    /// Statistics and one-shot power, as from [`Runner::run`].
-    pub report: RunReport,
-    /// Interval per-component power telemetry.
-    pub timeline: PowerTimeline,
-    /// Every simulator counter (`gpu/…`, `sm<i>/…`), interval series
-    /// (`gpu/interval/…`), power series (`power/…`) and energy summary
-    /// gauges (`energy/…`).
-    pub registry: MetricsRegistry,
-}
-
-/// A profiled run: report, per-PC profile, and a registry carrying both
-/// the aggregate counters (`gpu/…`) and the per-PC export
-/// (`profile/k<id>/pc<PC>/…`) — see [`Runner::run_profiled`].
-#[derive(Debug)]
-pub struct ProfiledRun {
-    /// Statistics and one-shot power, as from [`Runner::run`].
-    pub report: RunReport,
-    /// The per-static-instruction profile.
-    pub profile: KernelProfile,
-    /// Aggregate counters plus the schema-versioned per-PC tables.
-    pub registry: MetricsRegistry,
-}
-
-/// A simulation was aborted because it crossed its simulated-cycle
-/// budget (see [`Runner::run_budgeted`]).
-///
-/// The abort is *deterministic*: it triggers on simulated cycles, not
-/// wall time, so a budgeted run fails identically on every machine and
-/// thread count — the property the sweep engine's byte-identical
-/// manifests rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded {
-    /// Simulated cycles when the budget tripped (the first observer
-    /// sample at or past the budget).
-    pub cycles: u64,
-    /// The budget that applied.
-    pub budget: u64,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cycle budget exceeded: {} simulated of {} allowed",
-            self.cycles, self.budget
-        )
-    }
-}
-
-/// Granularity of budget checks: the abort observer samples every this
-/// many cycles (or at the budget itself, whichever is finer).
-const BUDGET_CHECK_INTERVAL: u64 = 4096;
-
-/// Panic payload used to unwind out of a budget-crossed simulation.
-/// Thrown with [`resume_unwind`] so the global panic hook never fires
-/// (a budget abort is an expected outcome, not a bug to report).
-struct BudgetAbort {
-    cycles: u64,
-}
-
-/// Observer that aborts the run at the first sample past the budget.
-struct BudgetObserver {
-    budget: u64,
-}
-
-impl RunObserver for BudgetObserver {
-    fn sample(&mut self, cycle: u64, _stats: &Stats) {
-        if cycle >= self.budget {
-            resume_unwind(Box::new(BudgetAbort { cycles: cycle }));
-        }
-    }
-
-    fn finish(&mut self, _cycle: u64, _merged: &Stats, _per_sm: &[Stats]) {}
-}
-
-/// Runs `workload` functionally+temporally under an explicit
-/// architecture configuration, aborting deterministically once the
-/// simulation crosses `budget` cycles (`budget == 0` disables the
-/// check). This is the raw entry point for ablations that build their
-/// own [`gscalar_sim::ArchConfig`]; see [`Runner::run_budgeted`] for
-/// the arch-variant path.
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when the simulation crossed the budget;
-/// any other panic propagates unchanged.
-pub fn run_stats_budgeted(
-    cfg: &GpuConfig,
-    arch_cfg: gscalar_sim::ArchConfig,
-    workload: &Workload,
-    budget: u64,
-) -> Result<Stats, BudgetExceeded> {
-    let arch_name = arch_cfg.name.clone();
-    let mut gpu = Gpu::new(cfg.clone(), arch_cfg);
-    let mut mem = workload.memory.clone();
-    let mut live = attach_live(workload, &arch_name, cfg.num_sms);
-    if budget == 0 {
-        return Ok(match live.as_mut() {
-            None => gpu.run(&workload.kernel, workload.launch, &mut mem),
-            Some(obs) => {
-                let interval = obs.sample_interval();
-                gpu.run_observed(
-                    &workload.kernel,
-                    workload.launch,
-                    &mut mem,
-                    &mut Tracer::off(),
-                    0,
-                    interval,
-                    obs,
-                )
-            }
-        });
-    }
-    // The budget observer's cadence is part of the determinism
-    // contract (it fixes where `BudgetExceeded.cycles` lands), so live
-    // telemetry must ride along at this interval unchanged and
-    // downsample internally.
-    let interval = budget.clamp(1, BUDGET_CHECK_INTERVAL);
-    let mut observer = BudgetObserver { budget };
-    let attempt = catch_unwind(AssertUnwindSafe(|| match live.as_mut() {
-        None => gpu.run_observed(
-            &workload.kernel,
-            workload.launch,
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            interval,
-            &mut observer,
-        ),
-        Some(obs) => {
-            // Live first: the snapshot at the abort boundary still
-            // streams before the budget unwinds.
-            let mut pair = PairObserver {
-                a: obs,
-                b: &mut observer,
-            };
-            gpu.run_observed(
-                &workload.kernel,
-                workload.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                interval,
-                &mut pair,
-            )
-        }
-    }));
-    match attempt {
-        Ok(stats) => Ok(stats),
-        Err(payload) => match payload.downcast::<BudgetAbort>() {
-            Ok(abort) => Err(BudgetExceeded {
-                cycles: abort.cycles,
-                budget,
-            }),
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
-/// Forwards observer callbacks to two observers watching the same run.
-struct PairObserver<'a> {
-    a: &'a mut dyn RunObserver,
-    b: &'a mut dyn RunObserver,
-}
-
-impl RunObserver for PairObserver<'_> {
-    fn sample(&mut self, cycle: u64, stats: &Stats) {
-        self.a.sample(cycle, stats);
-        self.b.sample(cycle, stats);
-    }
-
-    fn sample_sm(&mut self, cycle: u64, sm: usize, stats: &Stats) {
-        self.a.sample_sm(cycle, sm, stats);
-        self.b.sample_sm(cycle, sm, stats);
-    }
-
-    fn finish(&mut self, cycle: u64, merged: &Stats, per_sm: &[Stats]) {
-        self.a.finish(cycle, merged, per_sm);
-        self.b.finish(cycle, merged, per_sm);
-    }
-}
-
-/// When a process-wide live stream is installed (see
-/// [`gscalar_live::install`]), announces `workload` on it and returns
-/// the observer to attach to the run. Telemetry is strictly read-only:
-/// attaching the observer must never change what the engine computes,
-/// so callers keep their own sample interval whenever one is already
-/// required (budget checks, metrics cadences) and let the observer
-/// downsample internally.
-fn attach_live(workload: &Workload, arch: &str, num_sms: usize) -> Option<LiveObserver> {
-    gscalar_live::installed().map(|h| LiveObserver::start(h, &workload.name, arch, num_sms))
 }
 
 /// Runs workloads under configurable hardware and energy models.
@@ -324,200 +122,41 @@ impl Runner {
     /// Runs `workload` on `arch` and returns statistics plus power.
     #[must_use]
     pub fn run(&self, workload: &Workload, arch: Arch) -> RunReport {
-        self.run_traced(workload, arch, &mut Tracer::off(), 0)
+        self.run_with(workload, arch, &mut Probes::default())
+            .expect("no budget set")
     }
 
-    /// [`Runner::run`] with cycle-level tracing: events go to `tracer`
-    /// and, when `snapshot_interval > 0`, per-SM interval metrics are
-    /// emitted every `snapshot_interval` cycles.
-    #[must_use]
-    pub fn run_traced(
-        &self,
-        workload: &Workload,
-        arch: Arch,
-        tracer: &mut Tracer<'_>,
-        snapshot_interval: u64,
-    ) -> RunReport {
-        let mut gpu = Gpu::new(self.cfg.clone(), arch.config());
-        let mut mem = workload.memory.clone();
-        let stats = match attach_live(workload, arch.label(), self.cfg.num_sms).as_mut() {
-            None => gpu.run_traced(
-                &workload.kernel,
-                workload.launch,
-                &mut mem,
-                tracer,
-                snapshot_interval,
-            ),
-            Some(obs) => {
-                let interval = obs.sample_interval();
-                gpu.run_observed(
-                    &workload.kernel,
-                    workload.launch,
-                    &mut mem,
-                    tracer,
-                    snapshot_interval,
-                    interval,
-                    obs,
-                )
-            }
-        };
-        let power = chip_power(
-            &stats,
-            &self.cfg,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            &self.energy,
-        );
-        RunReport { arch, stats, power }
-    }
-
-    /// Runs `workload` on `arch` with full instrumentation: a metrics
-    /// registry fed by the simulator's counters and an interval power
-    /// timeline sampled every `sample_interval` cycles (0 still yields
-    /// one closing interval covering the whole run).
+    /// Runs `workload` on `arch` — a preset or an ablation [`Variant`]
+    /// — with `probes` attached: the one entry point behind
+    /// [`Runner::run`] (see [`Probes`] for what can ride along).
     ///
-    /// The returned registry also carries per-component energy gauges
-    /// (`energy/<component>_pj`, `energy/total_pj`) and the power
-    /// timeline as `power/<component>` series, so a single flatten
-    /// produces a complete machine-readable record of the run.
-    #[must_use]
-    pub fn run_metered(&self, workload: &Workload, arch: Arch, sample_interval: u64) -> MeteredRun {
-        let mut gpu = Gpu::new(self.cfg.clone(), arch.config());
-        let mut mem = workload.memory.clone();
-        let mut metrics = MetricsObserver::new();
-        let mut timeline = PowerTimeline::new(
-            &self.cfg,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            self.energy.clone(),
-        );
-        // Live telemetry rides along at the caller's cadence: changing
-        // `sample_interval` here would change the metrics/power series
-        // that end up in manifests. With `sample_interval == 0` the
-        // engine delivers no samples, so the stream then carries only
-        // run_start/run_end for this run.
-        let mut live = attach_live(workload, arch.label(), self.cfg.num_sms);
-        let stats = {
-            let mut pair = PairObserver {
-                a: &mut metrics,
-                b: &mut timeline,
-            };
-            let mut with_live;
-            let observer: &mut dyn RunObserver = match live.as_mut() {
-                None => &mut pair,
-                Some(obs) => {
-                    with_live = PairObserver {
-                        a: obs,
-                        b: &mut pair,
-                    };
-                    &mut with_live
-                }
-            };
-            gpu.run_observed(
-                &workload.kernel,
-                workload.launch,
-                &mut mem,
-                &mut Tracer::off(),
-                0,
-                sample_interval,
-                observer,
-            )
-        };
-        let power = chip_power(
-            &stats,
-            &self.cfg,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            &self.energy,
-        );
-        let mut registry = metrics.into_registry();
-        timeline.export(&mut registry.scope("power"));
-        let mut e = registry.scope("energy");
-        for (name, pj) in gscalar_power::component_energies_pj(
-            &stats,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            &self.energy,
-        ) {
-            e.gauge_set(&format!("{name}_pj"), pj);
-        }
-        e.gauge_set(
-            "total_pj",
-            gscalar_power::total_energy_pj(
-                &stats,
-                &self.cfg,
-                arch.rf_scheme(),
-                arch.has_codec(),
-                &self.energy,
-            ),
-        );
-        registry.gauge_set("power/total_w", power.total_w());
-        registry.gauge_set("power/ipc_per_watt", power.ipc_per_watt());
-        MeteredRun {
-            report: RunReport { arch, stats, power },
-            timeline,
-            registry,
-        }
-    }
-
-    /// Runs `workload` on `arch` with the per-static-instruction
-    /// profiler attached: every issue slot, stall cycle, eligibility
-    /// classification, execution span, compressor outcome and branch
-    /// execution is attributed to its PC (see `gscalar_profile` for the
-    /// attribution rules).
-    ///
-    /// The returned registry carries the aggregate counters under
-    /// `gpu/…` and the schema-versioned per-PC tables under
-    /// `profile/k<id>/pc<PC>/…` with zero-padded keys, so manifests
-    /// built from a flatten are byte-stable.
-    #[must_use]
-    pub fn run_profiled(&self, workload: &Workload, arch: Arch) -> ProfiledRun {
-        let mut gpu = Gpu::new(self.cfg.clone(), arch.config());
-        let mut mem = workload.memory.clone();
-        let mut profiler = Profiler::for_kernel(0, workload.kernel.name(), workload.kernel.len());
-        let stats = gpu.run_profiled(
-            &workload.kernel,
-            workload.launch,
-            &mut mem,
-            &mut Tracer::off(),
-            &mut profiler,
-        );
-        let power = chip_power(
-            &stats,
-            &self.cfg,
-            arch.rf_scheme(),
-            arch.has_codec(),
-            &self.energy,
-        );
-        let profile = profiler
-            .into_profile()
-            .expect("profiler was created enabled");
-        let mut registry = MetricsRegistry::new();
-        stats.export(&mut registry.scope("gpu"));
-        profile.export(&mut registry.scope("profile"));
-        ProfiledRun {
-            report: RunReport { arch, stats, power },
-            profile,
-            registry,
-        }
-    }
-
-    /// [`Runner::run`] under a simulated-cycle budget: the run aborts
-    /// deterministically at the first budget check past `budget`
-    /// cycles (`budget == 0` disables the check). Statistics and power
-    /// of a within-budget run are identical to [`Runner::run`]'s.
+    /// When a process-wide live stream is installed (see
+    /// [`gscalar_live::install`]) the run is announced on it and its
+    /// observer occupies [`Probes::live`] for the duration of the run.
+    /// Statistics and power never depend on the probes attached.
     ///
     /// # Errors
     ///
-    /// Returns [`BudgetExceeded`] when the simulation crossed the
-    /// budget.
-    pub fn run_budgeted(
+    /// Returns [`BudgetExceeded`] when the run crosses
+    /// [`Probes::budget`].
+    pub fn run_with(
         &self,
         workload: &Workload,
-        arch: Arch,
-        budget: u64,
+        arch: impl Into<Variant>,
+        probes: &mut Probes<'_>,
     ) -> Result<RunReport, BudgetExceeded> {
-        let stats = run_stats_budgeted(&self.cfg, arch.config(), workload, budget)?;
+        let Variant { arch, config } = arch.into();
+        probes.live = gscalar_live::installed()
+            .map(|h| LiveObserver::start(h, &workload.name, &config.name, self.cfg.num_sms));
+        let mut mem = workload.memory.clone();
+        let run = Gpu::new(self.cfg.clone(), config).run_with(
+            &workload.kernel,
+            workload.launch,
+            &mut mem,
+            probes,
+        );
+        probes.live = None;
+        let stats = run?.stats;
         let power = chip_power(
             &stats,
             &self.cfg,
@@ -634,109 +273,45 @@ mod tests {
     }
 
     #[test]
-    fn run_metered_matches_plain_run_and_integrates() {
-        let runner = Runner::new(GpuConfig::test_small());
-        let w = mixed_workload();
-        let plain = runner.run(&w, Arch::GScalar);
-        let metered = runner.run_metered(&w, Arch::GScalar, 16);
-        // Instrumentation must not perturb the simulation.
-        assert_eq!(metered.report.stats, plain.stats);
-        assert_eq!(metered.report.power, plain.power);
-        // Registry carries the merged counters.
-        assert_eq!(
-            metered.registry.counter("gpu/cycles"),
-            Some(plain.stats.cycles)
-        );
-        // Timeline integral equals the one-shot total energy.
-        let total = metered.registry.gauge("energy/total_pj").unwrap();
-        let integrated = metered.timeline.integrated_energy_pj();
-        assert!((integrated - total).abs() <= 1e-6 * total);
-        // And the power series exists per component.
-        assert!(metered.registry.series("power/register-file").is_some());
-        assert!(metered.registry.gauge("power/total_w").unwrap() > 0.0);
-    }
-
-    #[test]
-    fn run_profiled_matches_plain_run_and_reconciles() {
-        let runner = Runner::new(GpuConfig::test_small());
-        let w = mixed_workload();
-        let plain = runner.run(&w, Arch::GScalar);
-        let profiled = runner.run_profiled(&w, Arch::GScalar);
-        // Profiling must not perturb the simulation.
-        assert_eq!(profiled.report.stats, plain.stats);
-        assert_eq!(profiled.report.power, plain.power);
-        // Per-PC totals reconcile exactly with the aggregate counters.
-        let prof = &profiled.profile;
-        assert_eq!(prof.total_issues(), plain.stats.pipe.issued);
-        assert_eq!(
-            prof.total_stall_cycles(),
-            plain.stats.pipe.scheduler_idle_cycles
-        );
-        // The registry carries both views, schema-stamped.
-        assert_eq!(
-            profiled.registry.counter("gpu/cycles"),
-            Some(plain.stats.cycles)
-        );
-        assert_eq!(
-            profiled.registry.counter("profile/k00/schema"),
-            Some(gscalar_profile::PROFILE_SCHEMA_VERSION)
-        );
-        assert_eq!(
-            profiled.registry.counter("profile/k00/issues"),
-            Some(plain.stats.pipe.issued)
-        );
-        // Every executed PC is within the kernel.
-        let pcs: Vec<usize> = prof.executed_pcs().collect();
-        assert!(!pcs.is_empty());
-        assert!(pcs.iter().all(|&pc| pc < w.kernel.len()));
-    }
-
-    #[test]
-    fn run_budgeted_within_budget_matches_plain_run() {
-        let runner = Runner::new(GpuConfig::test_small());
-        let w = mixed_workload();
-        let plain = runner.run(&w, Arch::GScalar);
-        let budgeted = runner
-            .run_budgeted(&w, Arch::GScalar, plain.stats.cycles + 1)
-            .expect("within budget");
-        assert_eq!(budgeted.stats, plain.stats);
-        assert_eq!(budgeted.power, plain.power);
-        // Budget 0 disables the check entirely.
-        let unlimited = runner
-            .run_budgeted(&w, Arch::GScalar, 0)
-            .expect("unlimited");
-        assert_eq!(unlimited.stats, plain.stats);
-    }
-
-    #[test]
-    fn run_budgeted_aborts_deterministically() {
+    fn budget_aborts_deterministically() {
         let runner = Runner::new(GpuConfig::test_small());
         let w = mixed_workload();
         let full = runner.run(&w, Arch::GScalar).stats.cycles;
         assert!(full > 2, "workload too small to truncate");
-        let err = runner
-            .run_budgeted(&w, Arch::GScalar, 2)
-            .expect_err("must trip");
+        let budgeted = |budget| {
+            let mut probes = Probes {
+                budget,
+                ..Probes::default()
+            };
+            runner.run_with(&w, Arch::GScalar, &mut probes)
+        };
+        let err = budgeted(2).expect_err("must trip");
         assert_eq!(err.budget, 2);
         assert!(err.cycles >= 2 && err.cycles < full);
         // Deterministic: the abort point is cycle-based, not
         // wall-clock-based, so it reproduces exactly.
-        let again = runner
-            .run_budgeted(&w, Arch::GScalar, 2)
-            .expect_err("must trip again");
-        assert_eq!(again, err);
+        assert_eq!(budgeted(2).expect_err("must trip again"), err);
         assert!(err.to_string().contains("cycle budget exceeded"));
     }
 
     #[test]
-    fn run_stats_budgeted_accepts_custom_arch_configs() {
+    fn run_with_accepts_custom_arch_configs() {
+        let runner = Runner::new(GpuConfig::test_small());
         let w = mixed_workload();
-        let cfg = GpuConfig::test_small();
-        let mut arch = Arch::GScalar.config();
-        arch.extra_latency = 3;
-        let stats = run_stats_budgeted(&cfg, arch.clone(), &w, 0).expect("unlimited");
-        assert!(stats.cycles > 0);
-        let err = run_stats_budgeted(&cfg, arch, &w, 2).expect_err("must trip");
+        let slow = Arch::GScalar.with(|c| c.extra_latency = 9);
+        let report = runner
+            .run_with(&w, slow.clone(), &mut Probes::default())
+            .expect("unlimited");
+        assert!(report.stats.cycles > 0);
+        assert_eq!(report.arch, Arch::GScalar);
+        assert_ne!(report.stats, runner.run(&w, Arch::GScalar).stats);
+        let mut probes = Probes {
+            budget: 2,
+            ..Probes::default()
+        };
+        let err = runner
+            .run_with(&w, slow, &mut probes)
+            .expect_err("must trip");
         assert_eq!(err.budget, 2);
     }
 

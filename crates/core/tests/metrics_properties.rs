@@ -3,10 +3,12 @@
 //! exactly the one-shot energy total, and the stall taxonomy must stay
 //! exhaustive (per-reason cycles sum to the scheduler idle count).
 
-use gscalar_core::{Arch, Runner, Workload};
+use gscalar_core::{Arch, Probes, Runner, Workload};
 use gscalar_isa::{CmpOp, KernelBuilder, LaunchConfig, Operand, Pred, Reg, SReg};
+use gscalar_power::PowerTimeline;
+use gscalar_profile::Profiler;
 use gscalar_sim::memory::GlobalMemory;
-use gscalar_sim::GpuConfig;
+use gscalar_sim::{GpuConfig, MetricsObserver};
 use proptest::prelude::*;
 
 /// A random structured statement (a slimmed-down version of the
@@ -131,12 +133,25 @@ proptest! {
         let arch = [Arch::Baseline, Arch::AluScalar, Arch::GScalar][arch_pick];
         let sample_interval = [0u64, 7, 64][interval_pick];
         let runner = Runner::new(GpuConfig::test_small());
-        let run = runner.run_metered(&w, arch, sample_interval);
-        let stats = &run.report.stats;
+        let mut metrics = MetricsObserver::new();
+        let mut timeline = PowerTimeline::new(
+            runner.config(),
+            arch.rf_scheme(),
+            arch.has_codec(),
+            runner.energy().clone(),
+        );
+        let mut probes = Probes {
+            observers: vec![&mut metrics, &mut timeline],
+            interval: sample_interval,
+            ..Probes::default()
+        };
+        let report = runner.run_with(&w, arch, &mut probes).expect("no budget set");
+        drop(probes);
+        let stats = &report.stats;
 
         // Invariant 1: the interval timeline re-integrates (sum of
         // interval power × interval duration) to the one-shot total.
-        let integrated = run.timeline.integrated_energy_pj();
+        let integrated = timeline.integrated_energy_pj();
         let one_shot = gscalar_power::total_energy_pj(
             stats,
             runner.config(),
@@ -157,7 +172,7 @@ proptest! {
 
         // The registry saw the same run: its exported cycle counter
         // matches the merged statistics.
-        let flat = run.registry.flatten();
+        let flat = metrics.registry().flatten();
         let cycles = flat
             .iter()
             .find(|(p, _)| p == "gpu/cycles")
@@ -176,9 +191,13 @@ proptest! {
         let w = build_workload(&prog);
         let arch = [Arch::Baseline, Arch::AluScalar, Arch::GScalar][arch_pick];
         let runner = Runner::new(GpuConfig::test_small());
-        let run = runner.run_profiled(&w, arch);
-        let stats = &run.report.stats;
-        let prof = &run.profile;
+        let mut probes = Probes {
+            profiler: Profiler::for_kernel(0, w.kernel.name(), w.kernel.len()),
+            ..Probes::default()
+        };
+        let report = runner.run_with(&w, arch, &mut probes).expect("no budget set");
+        let stats = &report.stats;
+        let prof = &probes.profiler.into_profile().expect("profiler on");
 
         // Profiling must not perturb the simulation.
         let plain = runner.run(&w, arch);

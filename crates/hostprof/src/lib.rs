@@ -35,9 +35,15 @@
 //! and profiles stay byte-identical with profiling on).
 //!
 //! Accumulation is thread-local and lock-free on the hot path; a
-//! thread's totals flush into process-wide atomics when the thread
-//! exits (scoped pool workers) or when [`flush`] / [`snapshot`] runs
-//! on it.
+//! thread's totals flush into process-wide atomics when its first
+//! outermost phase guard drops and then at most once a millisecond as
+//! further outermost guards drop, whenever [`flush`] / [`snapshot`]
+//! runs on it, and (as a backstop) when the thread exits. The
+//! outermost-guard flush makes a scoped thread's phases visible as soon
+//! as `std::thread::scope` returns — its thread-local destructor may
+//! run only after that — while the throttle keeps threads from
+//! contending on the shared atomics; a thread that ends phases in quick
+//! succession calls [`flush`] before it returns.
 //!
 //! # Examples
 //!
@@ -241,8 +247,13 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Minimum spacing of the automatic flushes a thread makes as its
+/// outermost phase guards drop.
+const FLUSH_EVERY: std::time::Duration = std::time::Duration::from_millis(1);
+
 /// Per-thread accumulator. Flushes into the process-wide atomics when
-/// the thread exits or on an explicit [`flush`].
+/// the thread's outermost phase ends (throttled to `FLUSH_EVERY`), on
+/// an explicit [`flush`], and on thread exit.
 struct Local {
     ns: [u64; PHASE_COUNT],
     calls: [u64; PHASE_COUNT],
@@ -250,6 +261,8 @@ struct Local {
     stack: Vec<usize>,
     /// Clock reading at the last enter/exit on this thread.
     last: Option<Instant>,
+    /// When an outermost guard last flushed this thread's totals.
+    flushed: Option<Instant>,
 }
 
 impl Local {
@@ -259,6 +272,7 @@ impl Local {
             calls: [0; PHASE_COUNT],
             stack: Vec::new(),
             last: None,
+            flushed: None,
         }
     }
 
@@ -333,6 +347,10 @@ impl Drop for PhaseGuard {
                 l.ns[top] += u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
             }
             l.last = Some(now);
+            if l.stack.is_empty() && l.flushed.is_none_or(|t| now - t >= FLUSH_EVERY) {
+                l.flush_into_globals();
+                l.flushed = Some(now);
+            }
         });
     }
 }
@@ -411,9 +429,10 @@ impl Drop for TimelineGuard {
 }
 
 /// Flushes the calling thread's phase accumulators into the
-/// process-wide totals. Worker threads flush automatically on exit;
-/// long-lived threads (e.g. `main`) call this — or just [`snapshot`],
-/// which flushes first — before reading totals.
+/// process-wide totals. Threads also flush automatically as their
+/// outermost phases end (at most once a millisecond); call this — or
+/// just [`snapshot`], which flushes first — to publish everything the
+/// calling thread has recorded so far.
 pub fn flush() {
     let _ = LOCAL.try_with(|l| l.borrow_mut().flush_into_globals());
 }

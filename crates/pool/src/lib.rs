@@ -68,6 +68,7 @@ where
                     // which means the caller is unwinding already.
                     let _ = tx.send((i, work(i)));
                 }
+                hostprof::flush();
             });
         }
         drop(tx);
@@ -226,6 +227,8 @@ where
                     let idle = hostprof::phase(hostprof::Phase::PoolIdle);
                     let e = loop {
                         if ctl.stop.load(Ordering::Acquire) {
+                            drop(idle);
+                            hostprof::flush();
                             return;
                         }
                         let e = ctl.epoch.load(Ordering::Acquire);
@@ -418,11 +421,16 @@ mod tests {
         assert_eq!(done.load(Ordering::SeqCst), 7 * count);
     }
 
+    /// Serializes the tests that reset and enable the process-global
+    /// host profiler.
+    static HOSTPROF_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn hostprof_telemetry_records_epochs_and_queue_depths() {
         // Telemetry is process-global and other tests may run
         // concurrently (they leave it disabled, so only this test's
         // window records) — assert lower bounds, not exact counts.
+        let _l = HOSTPROF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         hostprof::reset();
         hostprof::set_enabled(true);
         run_epochs(4, 16, 0, |_, _| {}, |now| (now < 3).then_some(now + 1));
@@ -433,6 +441,34 @@ mod tests {
         assert!(s.hist(hostprof::Hist::BarrierWaitNs).count() >= 4);
         assert!(s.hist(hostprof::Hist::QueueDepth).count() >= 32);
         assert!(s.phase(hostprof::Phase::PoolIdle).calls >= 4);
+        hostprof::reset();
+    }
+
+    #[test]
+    fn worker_phases_are_visible_when_run_epochs_returns() {
+        // Every worker waits in PoolIdle once per epoch plus once for
+        // the stop signal; the coordinator waits once per epoch at the
+        // barrier. All of it must be in the totals the moment
+        // `run_epochs` returns, without waiting for worker threads'
+        // thread-local destructors.
+        let _l = HOSTPROF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Cheap epochs on two threads: the worker's later idle phases
+        // end well inside the automatic-flush throttle window.
+        let (threads, epochs) = (2u64, 20u64);
+        hostprof::reset();
+        hostprof::set_enabled(true);
+        run_epochs(
+            threads as usize,
+            8,
+            0,
+            |_, _| {},
+            |now| (now + 1 < epochs).then_some(now + 1),
+        );
+        let s = hostprof::snapshot();
+        hostprof::set_enabled(false);
+        let workers = threads - 1;
+        assert!(s.phase(hostprof::Phase::PoolIdle).calls >= workers * (epochs + 1) + epochs);
+        assert!(s.hist(hostprof::Hist::BarrierWaitNs).count() >= epochs);
         hostprof::reset();
     }
 

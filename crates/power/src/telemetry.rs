@@ -1,7 +1,7 @@
 //! Interval-sampled per-component power telemetry.
 //!
-//! A [`PowerTimeline`] plugs into the simulator's observer hook
-//! ([`gscalar_sim::RunObserver`]) and converts the cumulative activity
+//! A [`PowerTimeline`] attaches to a run as one of its
+//! [`gscalar_sim::Probes::observers`] and converts the cumulative activity
 //! counters delivered at each sample boundary into per-interval dynamic
 //! power for every chip component of the [`chip_power`](crate::model)
 //! breakdown, plus the constant static floor.
@@ -54,8 +54,7 @@ impl PowerInterval {
 /// ```
 /// use gscalar_isa::{KernelBuilder, LaunchConfig, Operand};
 /// use gscalar_power::{telemetry::PowerTimeline, EnergyModel, RfScheme};
-/// use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu, GpuConfig};
-/// use gscalar_trace::Tracer;
+/// use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu, GpuConfig, Probes};
 ///
 /// let mut b = KernelBuilder::new("tiny");
 /// b.mov(Operand::Imm(7));
@@ -67,15 +66,14 @@ impl PowerInterval {
 ///     PowerTimeline::new(&cfg, RfScheme::Baseline, false, EnergyModel::default_40nm());
 /// let mut gpu = Gpu::new(cfg.clone(), ArchConfig::baseline());
 /// let mut mem = GlobalMemory::new();
-/// let stats = gpu.run_observed(
-///     &kernel,
-///     LaunchConfig::linear(2, 64),
-///     &mut mem,
-///     &mut Tracer::off(),
-///     0,
-///     8,
-///     &mut timeline,
-/// );
+/// let mut probes = Probes {
+///     observers: vec![&mut timeline],
+///     interval: 8,
+///     ..Probes::default()
+/// };
+/// let run = gpu.run_with(&kernel, LaunchConfig::linear(2, 64), &mut mem, &mut probes);
+/// drop(probes);
+/// let stats = run.unwrap().stats;
 /// let total = gscalar_power::model::total_energy_pj(
 ///     &stats,
 ///     &cfg,
@@ -196,8 +194,7 @@ mod tests {
     use super::*;
     use crate::model::total_energy_pj;
     use gscalar_isa::{KernelBuilder, LaunchConfig, Operand, SReg};
-    use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu};
-    use gscalar_trace::Tracer;
+    use gscalar_sim::{memory::GlobalMemory, ArchConfig, Gpu, Probes};
 
     fn kernel() -> gscalar_isa::Kernel {
         let mut b = KernelBuilder::new("work");
@@ -219,17 +216,15 @@ mod tests {
         let mut timeline =
             PowerTimeline::new(&cfg, RfScheme::ByteWise, true, EnergyModel::default_40nm());
         let mut gpu = Gpu::new(cfg.clone(), ArchConfig::baseline());
-        let mut mem = GlobalMemory::new();
-        let stats = gpu.run_observed(
-            &kernel(),
-            LaunchConfig::linear(4, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            0,
+        let mut probes = Probes {
+            observers: vec![&mut timeline],
             interval,
-            &mut timeline,
-        );
-        (stats, timeline, cfg)
+            ..Probes::default()
+        };
+        let launch = LaunchConfig::linear(4, 64);
+        let run = gpu.run_with(&kernel(), launch, &mut GlobalMemory::new(), &mut probes);
+        drop(probes);
+        (run.unwrap().stats, timeline, cfg)
     }
 
     #[test]

@@ -2,59 +2,18 @@
 
 use gscalar_hostprof as hostprof;
 use gscalar_isa::{Dim3, Kernel, LaunchConfig};
-use gscalar_profile::Profiler;
-use gscalar_trace::{TraceEvent, Tracer};
+use gscalar_trace::Tracer;
 
 use crate::config::{ArchConfig, GpuConfig};
 use crate::memory::GlobalMemory;
 use crate::memsys::MemSystem;
+use crate::probes::{BudgetExceeded, Probes, RunOutput};
 use crate::sm::Sm;
 use crate::stats::Stats;
 
 /// Safety valve: a run exceeding this many cycles panics instead of
 /// spinning forever (a workload bug, not a hardware condition).
 pub(crate) const WATCHDOG_CYCLES: u64 = 2_000_000_000;
-
-/// Receives interval samples and the final state of a simulation run.
-///
-/// Implementations feed metrics registries and power timelines without
-/// the run loop knowing about either. [`Gpu::run_observed`] calls
-/// [`sample`](RunObserver::sample) with *cumulative* merged-across-SMs
-/// statistics each time the clock crosses a multiple of the sample
-/// interval (idle-skip jumps may cross several boundaries; one sample at
-/// the latest boundary is delivered, since the counters are cumulative),
-/// and [`finish`](RunObserver::finish) exactly once at the end.
-pub trait RunObserver {
-    /// One interval sample: `stats` is the cumulative merged state of
-    /// every SM with `stats.cycles` set to the boundary cycle.
-    fn sample(&mut self, cycle: u64, stats: &Stats);
-
-    /// Per-SM detail of one interval sample: called once per SM (in SM
-    /// id order) immediately before the merged [`sample`] at the same
-    /// boundary, with that SM's own cumulative statistics. The default
-    /// does nothing, so observers that only need the merged view are
-    /// unaffected.
-    ///
-    /// [`sample`]: RunObserver::sample
-    fn sample_sm(&mut self, cycle: u64, sm: usize, stats: &Stats) {
-        let _ = (cycle, sm, stats);
-    }
-
-    /// The run is complete: `merged` is the final aggregate (identical
-    /// to the run's return value) and `per_sm` holds each SM's own
-    /// statistics.
-    fn finish(&mut self, cycle: u64, merged: &Stats, per_sm: &[Stats]) {
-        let _ = (cycle, merged, per_sm);
-    }
-}
-
-/// The no-op observer used by [`Gpu::run`] and [`Gpu::run_traced`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl RunObserver for NullObserver {
-    fn sample(&mut self, _cycle: u64, _stats: &Stats) {}
-}
 
 /// A complete GPU executing one kernel launch at a time.
 ///
@@ -109,75 +68,14 @@ impl Gpu {
     /// Panics if a CTA cannot fit on an empty SM (CTA too large for the
     /// configuration) or the watchdog trips.
     pub fn run(&mut self, kernel: &Kernel, launch: LaunchConfig, gmem: &mut GlobalMemory) -> Stats {
-        self.run_traced(kernel, launch, gmem, &mut Tracer::off(), 0)
+        let run = self.run_with(kernel, launch, gmem, &mut Probes::default());
+        run.expect("no budget set").stats
     }
 
-    /// [`Gpu::run_traced`] plus interval observation: when
-    /// `sample_interval > 0`, `observer` receives cumulative
-    /// merged-across-SMs statistics at every crossed multiple of the
-    /// interval, and a final [`RunObserver::finish`] call either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Gpu::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_observed(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        gmem: &mut GlobalMemory,
-        tracer: &mut Tracer<'_>,
-        snapshot_interval: u64,
-        sample_interval: u64,
-        observer: &mut dyn RunObserver,
-    ) -> Stats {
-        self.run_inner(
-            kernel,
-            launch,
-            gmem,
-            tracer,
-            snapshot_interval,
-            sample_interval,
-            observer,
-            &mut Profiler::off(),
-        )
-    }
-
-    /// [`Gpu::run`] with per-static-instruction profiling: every issue
-    /// slot, attributed stall cycle, eligibility classification,
-    /// execution span, compressor outcome, and branch execution is
-    /// recorded into `profiler` (see `gscalar_profile`). Combine with a
-    /// live `tracer` freely; the two instruments are independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Gpu::run`].
-    pub fn run_profiled(
-        &mut self,
-        kernel: &Kernel,
-        launch: LaunchConfig,
-        gmem: &mut GlobalMemory,
-        tracer: &mut Tracer<'_>,
-        profiler: &mut Profiler,
-    ) -> Stats {
-        self.run_inner(
-            kernel,
-            launch,
-            gmem,
-            tracer,
-            0,
-            0,
-            &mut NullObserver,
-            profiler,
-        )
-    }
-
-    /// [`Gpu::run`] with cycle-level tracing: events are emitted into
-    /// `tracer`, and when `snapshot_interval > 0` a
-    /// [`TraceEvent::Snapshot`] with cumulative per-SM counters is
-    /// emitted each time the clock crosses a multiple of the interval
-    /// (idle-skip jumps emit one snapshot at the latest boundary
-    /// crossed).
+    /// [`Gpu::run`] with cycle-level tracing into `tracer`, plus a
+    /// [`TraceEvent::Snapshot`](gscalar_trace::TraceEvent::Snapshot)
+    /// of every SM's cumulative counters each `snapshot_interval`
+    /// cycles (0 = none).
     ///
     /// # Panics
     ///
@@ -190,30 +88,38 @@ impl Gpu {
         tracer: &mut Tracer<'_>,
         snapshot_interval: u64,
     ) -> Stats {
-        self.run_inner(
-            kernel,
-            launch,
-            gmem,
-            tracer,
-            snapshot_interval,
-            0,
-            &mut NullObserver,
-            &mut Profiler::off(),
-        )
+        let mut probes = Probes {
+            tracer: std::mem::take(tracer),
+            interval: snapshot_interval,
+            ..Probes::default()
+        };
+        let run = self.run_with(kernel, launch, gmem, &mut probes);
+        *tracer = probes.tracer;
+        run.expect("no budget set").stats
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
+    /// Runs `kernel` over `launch` against `gmem` with `probes`
+    /// attached — the one simulation loop behind every other entry
+    /// point, on the serial engine or, when the resolved
+    /// [`GpuConfig::exec_threads`] exceeds 1, the byte-identical
+    /// parallel one (see [`crate::parallel`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BudgetExceeded`] when the run crosses
+    /// [`Probes::budget`]; `gmem` then holds every store up to the
+    /// abort boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Gpu::run`].
+    pub fn run_with(
         &mut self,
         kernel: &Kernel,
         launch: LaunchConfig,
         gmem: &mut GlobalMemory,
-        tracer: &mut Tracer<'_>,
-        snapshot_interval: u64,
-        sample_interval: u64,
-        observer: &mut dyn RunObserver,
-        profiler: &mut Profiler,
-    ) -> Stats {
+        probes: &mut Probes<'_>,
+    ) -> Result<RunOutput, BudgetExceeded> {
         let exec_threads =
             gscalar_pool::resolve_threads(self.cfg.exec_threads).min(self.cfg.num_sms);
         if exec_threads > 1 {
@@ -224,11 +130,7 @@ impl Gpu {
                 kernel,
                 launch,
                 gmem,
-                tracer,
-                snapshot_interval,
-                sample_interval,
-                observer,
-                profiler,
+                probes,
             );
         }
         let mut memsys = MemSystem::new(&self.cfg);
@@ -271,13 +173,19 @@ impl Gpu {
         drop(fill_phase);
 
         let mut now: u64 = 0;
-        let mut last_snapshot: u64 = 0;
-        let mut last_sample: u64 = 0;
+        let mut clock = probes.clock();
         while ctas_done < total_ctas {
             let mut any_activity = false;
             for sm in &mut sms {
                 let before = sm.stats.pipe.issued + sm.stats.pipe.oc_allocs;
-                let completed = sm.cycle(now, kernel, gmem, &mut memsys, tracer, profiler);
+                let completed = sm.cycle(
+                    now,
+                    kernel,
+                    gmem,
+                    &mut memsys,
+                    &mut probes.tracer,
+                    &mut probes.profiler,
+                );
                 if completed > 0 {
                     ctas_done += completed as u64;
                     // Refill this SM.
@@ -329,56 +237,14 @@ impl Gpu {
                 }
                 now = new_now;
             }
-            // Interval metrics: cumulative per-SM counters at each
-            // boundary crossing. Idle-skip jumps may pass several
-            // boundaries at once; one snapshot at the latest suffices
-            // since the counters are cumulative.
-            if snapshot_interval > 0 && tracer.is_on() {
-                let boundary = now / snapshot_interval * snapshot_interval;
-                if boundary > last_snapshot {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_snapshot = boundary;
-                    for (i, sm) in sms.iter().enumerate() {
-                        let s = &sm.stats;
-                        tracer.emit_with(boundary, || TraceEvent::Snapshot {
-                            sm: i as u32,
-                            issued: s.pipe.issued,
-                            scalar: s.instr.executed_scalar,
-                            rf_bytes_compressed: s.rf.ours_bytes,
-                            rf_bytes_uncompressed: s.rf.raw_bytes,
-                            rf_activations: s.rf.ours_arrays,
-                        });
-                    }
-                }
-            }
-            // Observer samples: cumulative merged statistics at each
-            // sample-interval boundary crossing (same idle-skip
-            // semantics as snapshots above).
-            if let Some(intervals) = now.checked_div(sample_interval) {
-                let boundary = intervals * sample_interval;
-                if boundary > last_sample {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_sample = boundary;
-                    let mut cum = Stats::default();
-                    for (i, sm) in sms.iter().enumerate() {
-                        observer.sample_sm(boundary, i, &sm.stats);
-                        cum.merge(&sm.stats);
-                    }
-                    cum.cycles = boundary;
-                    observer.sample(boundary, &cum);
-                }
+            if let Some(boundary) = clock.due(now) {
+                probes.tick(boundary, sms.iter().map(|sm| &sm.stats))?;
             }
             assert!(now < WATCHDOG_CYCLES, "simulation watchdog tripped");
         }
 
-        let mut stats = Stats::default();
-        for sm in &sms {
-            stats.merge(&sm.stats);
-        }
-        stats.cycles = now;
-        let per_sm: Vec<Stats> = sms.iter().map(|sm| sm.stats.clone()).collect();
-        observer.finish(now, &stats, &per_sm);
-        stats
+        let per_sm = sms.into_iter().map(|sm| sm.stats).collect();
+        Ok(probes.finish(now, per_sm))
     }
 }
 
@@ -395,6 +261,7 @@ pub(crate) fn cta_coord(linear: u64, grid: Dim3) -> Dim3 {
 mod tests {
     use super::*;
     use gscalar_isa::{CmpOp, KernelBuilder, Operand, SReg};
+    use gscalar_profile::Profiler;
 
     fn run_kernel(kernel: &Kernel, launch: LaunchConfig) -> (Stats, GlobalMemory) {
         let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
@@ -605,15 +472,15 @@ mod tests {
 
         let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
-        let mut profiler = Profiler::for_kernel(0, kernel.name(), kernel.len());
-        let stats = gpu.run_profiled(
-            &kernel,
-            LaunchConfig::linear(2, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            &mut profiler,
-        );
-        let prof = profiler.into_profile().unwrap();
+        let mut probes = Probes {
+            profiler: Profiler::for_kernel(0, kernel.name(), kernel.len()),
+            ..Probes::default()
+        };
+        let stats = gpu
+            .run_with(&kernel, LaunchConfig::linear(2, 64), &mut mem, &mut probes)
+            .unwrap()
+            .stats;
+        let prof = probes.profiler.into_profile().unwrap();
 
         // Every scheduler cycle is either an issue charged to a PC or a
         // stall charged to a PC / the unattributed pool.

@@ -56,6 +56,7 @@ pub mod memsys;
 pub mod metrics;
 pub mod parallel;
 pub mod pipeline;
+pub mod probes;
 pub mod reference;
 pub mod regfile;
 pub mod scheduler;
@@ -66,9 +67,10 @@ pub mod stats;
 pub mod warp;
 
 pub use config::{ArchConfig, GpuConfig, IdealConfig, Latencies};
-pub use gpu::{Gpu, NullObserver, RunObserver};
+pub use gpu::Gpu;
 pub use live::LiveObserver;
 pub use metrics::MetricsObserver;
+pub use probes::{BudgetExceeded, Probes, RunObserver, RunOutput};
 pub use stats::{ScalarClass, SchedStats, Stats};
 
 /// Re-export of the per-PC profiling handle (see [`gscalar_profile`]).

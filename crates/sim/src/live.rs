@@ -1,24 +1,24 @@
 //! Bridges the simulator's [`Stats`] into a live telemetry stream.
 //!
-//! A [`LiveObserver`] plugs into [`Gpu::run_observed`](crate::Gpu) the
-//! same way [`MetricsObserver`](crate::MetricsObserver) does, but emits
-//! NDJSON [`LiveRecord`]s to a [`gscalar_live::LiveHandle`] *while the
-//! run executes*: one `run_start`, periodic `snapshot`s (cumulative
-//! IPC, per-SM IPC, stall mix, compression ratio, MSHR occupancy, pool
-//! counters), and one `run_end`.
+//! A [`LiveObserver`] rides in [`Probes::live`](crate::Probes::live)
+//! and emits NDJSON [`LiveRecord`]s to a [`gscalar_live::LiveHandle`]
+//! *while the run executes*: one `run_start`, periodic `snapshot`s
+//! (cumulative IPC, per-SM IPC, stall mix, compression ratio, MSHR
+//! occupancy, pool counters), and one `run_end`.
 //!
-//! The observer **downsamples internally** on its own cadence
-//! ([`LiveHandle::snapshot_interval`]): callers attaching it to a run
-//! that already samples at a finer interval (e.g. budgeted runs
-//! checking every 4096 cycles) must *not* change the engine's sample
-//! interval — a changed interval would move deterministic budget-abort
-//! points. Emission goes through the handle's bounded non-blocking
-//! queue, so the run loop never waits on I/O.
+//! Snapshots come from the run's one interval clock. The observer
+//! keeps its own cadence ([`LiveHandle::snapshot_interval`]) by
+//! downsampling: it emits at the first tick at least that many cycles
+//! after its last snapshot, and sets the clock to its cadence only when
+//! no other probe would see the ticks. Emission goes through the
+//! handle's bounded non-blocking queue, so the run loop never waits on
+//! I/O. The stream is advisory: what it carries may change with the
+//! other probes attached, what the run computes never does.
 
 use gscalar_hostprof as hostprof;
 use gscalar_live::{LiveHandle, LiveRecord};
 
-use crate::gpu::RunObserver;
+use crate::probes::RunObserver;
 use crate::stats::Stats;
 
 /// A [`RunObserver`] that streams interval snapshots to a live handle.
@@ -33,7 +33,7 @@ pub struct LiveObserver {
 
 impl LiveObserver {
     /// Announces a new run on `handle` (emitting `run_start`) and
-    /// returns the observer to pass to `run_observed`.
+    /// returns the observer to put in [`Probes::live`](crate::Probes::live).
     #[must_use]
     pub fn start(handle: LiveHandle, workload: &str, arch: &str, sms: usize) -> Self {
         let run = handle.next_run_id();
@@ -54,11 +54,8 @@ impl LiveObserver {
         }
     }
 
-    /// The observer's snapshot cadence in cycles — what callers should
-    /// pass as `sample_interval` when no finer cadence is already
-    /// required by another observer.
-    #[must_use]
-    pub fn sample_interval(&self) -> u64 {
+    /// The observer's snapshot cadence in cycles.
+    pub(crate) fn cadence(&self) -> u64 {
         self.interval
     }
 
@@ -142,9 +139,9 @@ mod tests {
     use crate::config::{ArchConfig, GpuConfig};
     use crate::gpu::Gpu;
     use crate::memory::GlobalMemory;
+    use crate::probes::Probes;
     use gscalar_isa::{KernelBuilder, LaunchConfig, Operand, SReg};
     use gscalar_live::StreamConfig;
-    use gscalar_trace::Tracer;
 
     fn busy_kernel() -> gscalar_isa::Kernel {
         let mut b = KernelBuilder::new("busy");
@@ -157,7 +154,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn run_with_observer(exec_threads: usize) -> (Stats, Vec<String>) {
+    fn run_with_observer() -> (Stats, Vec<String>) {
         let handle = LiveHandle::memory(StreamConfig {
             deterministic: true,
             snapshot_interval: 8,
@@ -165,27 +162,28 @@ mod tests {
         });
         let mut cfg = GpuConfig::test_small();
         cfg.num_sms = 4;
-        cfg.exec_threads = exec_threads;
         let mut gpu = Gpu::new(cfg, ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
-        let mut obs = LiveObserver::start(handle.clone(), "busy", "base", 4);
-        let interval = obs.sample_interval();
-        let stats = gpu.run_observed(
-            &busy_kernel(),
-            LaunchConfig::linear(4, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            interval,
-            &mut obs,
-        );
+        let mut probes = Probes {
+            live: Some(LiveObserver::start(handle.clone(), "busy", "base", 4)),
+            ..Probes::default()
+        };
+        let stats = gpu
+            .run_with(
+                &busy_kernel(),
+                LaunchConfig::linear(4, 64),
+                &mut mem,
+                &mut probes,
+            )
+            .unwrap()
+            .stats;
         handle.close();
         (stats, handle.collected().unwrap())
     }
 
     #[test]
     fn emits_start_snapshots_and_end() {
-        let (stats, lines) = run_with_observer(1);
+        let (stats, lines) = run_with_observer();
         let records: Vec<LiveRecord> = lines
             .iter()
             .map(|l| LiveRecord::parse(l).expect("parses"))
@@ -230,26 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn observer_does_not_perturb_stats_and_works_parallel() {
-        let mut cfg = GpuConfig::test_small();
-        cfg.num_sms = 4;
-        let mut bare_mem = GlobalMemory::new();
-        let bare = Gpu::new(cfg, ArchConfig::baseline()).run(
-            &busy_kernel(),
-            LaunchConfig::linear(4, 64),
-            &mut bare_mem,
-        );
-        let (serial, _) = run_with_observer(1);
-        let (parallel, lines) = run_with_observer(4);
-        assert_eq!(bare, serial, "live observer perturbed serial stats");
-        assert_eq!(bare, parallel, "live observer perturbed parallel stats");
-        assert!(lines.iter().any(|l| l.contains("\"type\":\"snapshot\"")));
-    }
-
-    #[test]
-    fn downsamples_when_engine_samples_finer() {
-        // Engine cadence 2, observer cadence 8: snapshots land only on
-        // multiples of 8 even though samples arrive every 2 cycles.
+    fn downsamples_when_the_clock_ticks_finer() {
+        // Clock period 2, observer cadence 8: snapshots land at least 8
+        // apart even though the clock ticks every 2 cycles.
         let handle = LiveHandle::memory(StreamConfig {
             deterministic: true,
             snapshot_interval: 8,
@@ -257,16 +238,18 @@ mod tests {
         });
         let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
         let mut mem = GlobalMemory::new();
-        let mut obs = LiveObserver::start(handle.clone(), "busy", "base", 1);
-        gpu.run_observed(
+        let mut probes = Probes {
+            live: Some(LiveObserver::start(handle.clone(), "busy", "base", 1)),
+            interval: 2,
+            ..Probes::default()
+        };
+        gpu.run_with(
             &busy_kernel(),
             LaunchConfig::linear(1, 32),
             &mut mem,
-            &mut Tracer::off(),
-            0,
-            2,
-            &mut obs,
-        );
+            &mut probes,
+        )
+        .unwrap();
         handle.close();
         let cycles: Vec<u64> = handle
             .collected()
@@ -285,7 +268,7 @@ mod tests {
             );
         }
         for c in &cycles {
-            assert_eq!(c % 2, 0, "snapshot off the engine boundary grid");
+            assert_eq!(c % 2, 0, "snapshot off the clock grid");
         }
     }
 }

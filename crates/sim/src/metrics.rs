@@ -1,8 +1,9 @@
 //! Bridges the simulator's [`Stats`] into a
 //! [`gscalar_metrics::MetricsRegistry`].
 //!
-//! A [`MetricsObserver`] plugs into [`Gpu::run_observed`](crate::Gpu):
-//! during the run it appends interval time-series (IPC, issue count,
+//! A [`MetricsObserver`] attaches through
+//! [`Probes::observers`](crate::Probes::observers): during the run it
+//! appends interval time-series (IPC, issue count,
 //! scalar-execution rate) from the cumulative samples; at the end it
 //! exports every counter of the merged statistics under `gpu/…` and of
 //! each SM under `sm<i>/…`, using [`Stats::export`]'s exhaustive
@@ -10,7 +11,7 @@
 
 use gscalar_metrics::MetricsRegistry;
 
-use crate::gpu::RunObserver;
+use crate::probes::RunObserver;
 use crate::stats::Stats;
 
 /// A [`RunObserver`] that populates a [`MetricsRegistry`].
@@ -20,9 +21,8 @@ use crate::stats::Stats;
 /// ```
 /// use gscalar_isa::{KernelBuilder, LaunchConfig, Operand};
 /// use gscalar_sim::{
-///     memory::GlobalMemory, ArchConfig, Gpu, GpuConfig, MetricsObserver,
+///     memory::GlobalMemory, ArchConfig, Gpu, GpuConfig, MetricsObserver, Probes,
 /// };
-/// use gscalar_trace::Tracer;
 ///
 /// let mut b = KernelBuilder::new("tiny");
 /// b.mov(Operand::Imm(7));
@@ -32,15 +32,14 @@ use crate::stats::Stats;
 /// let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
 /// let mut mem = GlobalMemory::new();
 /// let mut obs = MetricsObserver::new();
-/// let stats = gpu.run_observed(
-///     &kernel,
-///     LaunchConfig::linear(2, 64),
-///     &mut mem,
-///     &mut Tracer::off(),
-///     0,
-///     16,
-///     &mut obs,
-/// );
+/// let mut probes = Probes {
+///     observers: vec![&mut obs],
+///     interval: 16,
+///     ..Probes::default()
+/// };
+/// let run = gpu.run_with(&kernel, LaunchConfig::linear(2, 64), &mut mem, &mut probes);
+/// drop(probes);
+/// let stats = run.unwrap().stats;
 /// let reg = obs.into_registry();
 /// assert_eq!(reg.counter("gpu/cycles"), Some(stats.cycles));
 /// assert_eq!(
@@ -100,8 +99,27 @@ mod tests {
     use crate::config::{ArchConfig, GpuConfig};
     use crate::gpu::Gpu;
     use crate::memory::GlobalMemory;
+    use crate::probes::Probes;
     use gscalar_isa::{KernelBuilder, LaunchConfig, Operand, SReg};
-    use gscalar_trace::Tracer;
+
+    /// Runs `busy_kernel` over `launch` with `obs` sampled every
+    /// `interval` cycles.
+    fn observe(obs: &mut MetricsObserver, launch: LaunchConfig, interval: u64) -> Stats {
+        let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
+        let mut probes = Probes {
+            observers: vec![obs],
+            interval,
+            ..Probes::default()
+        };
+        gpu.run_with(
+            &busy_kernel(),
+            launch,
+            &mut GlobalMemory::new(),
+            &mut probes,
+        )
+        .unwrap()
+        .stats
+    }
 
     fn busy_kernel() -> gscalar_isa::Kernel {
         let mut b = KernelBuilder::new("busy");
@@ -118,18 +136,8 @@ mod tests {
     fn exports_merged_and_per_sm_scopes() {
         let cfg = GpuConfig::test_small();
         let num_sms = cfg.num_sms;
-        let mut gpu = Gpu::new(cfg, ArchConfig::baseline());
-        let mut mem = GlobalMemory::new();
         let mut obs = MetricsObserver::new();
-        let stats = gpu.run_observed(
-            &busy_kernel(),
-            LaunchConfig::linear(4, 64),
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            8,
-            &mut obs,
-        );
+        let stats = observe(&mut obs, LaunchConfig::linear(4, 64), 8);
         let reg = obs.into_registry();
         assert_eq!(reg.counter("gpu/cycles"), Some(stats.cycles));
         assert_eq!(reg.counter("gpu/pipe/issued"), Some(stats.pipe.issued));
@@ -157,19 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_interval_zero_still_finishes() {
-        let mut gpu = Gpu::new(GpuConfig::test_small(), ArchConfig::baseline());
-        let mut mem = GlobalMemory::new();
+    fn no_clock_still_finishes() {
         let mut obs = MetricsObserver::new();
-        gpu.run_observed(
-            &busy_kernel(),
-            LaunchConfig::linear(1, 32),
-            &mut mem,
-            &mut Tracer::off(),
-            0,
-            0,
-            &mut obs,
-        );
+        observe(&mut obs, LaunchConfig::linear(1, 32), 0);
         let reg = obs.into_registry();
         assert!(reg.counter("gpu/cycles").is_some());
         assert!(reg.series("gpu/interval/ipc").is_none());

@@ -44,11 +44,11 @@ use gscalar_profile::Profiler;
 use gscalar_trace::{Record, TraceEvent, TraceSink, Tracer};
 
 use crate::config::{ArchConfig, GpuConfig};
-use crate::gpu::{cta_coord, RunObserver, WATCHDOG_CYCLES};
+use crate::gpu::{cta_coord, WATCHDOG_CYCLES};
 use crate::memory::GlobalMemory;
 use crate::memsys::MemSystem;
+use crate::probes::{BudgetExceeded, Probes, RunOutput};
 use crate::sm::{EpochBuffer, MemPort, Sm};
-use crate::stats::Stats;
 
 /// A per-epoch trace sink local to one SM; its position is spliced
 /// against [`crate::sm::PendingMem::trace_pos`] at the barrier.
@@ -80,14 +80,13 @@ struct SmSlot {
     active: bool,
 }
 
-/// Parallel counterpart of `Gpu::run_inner`; entered when the resolved
-/// [`GpuConfig::exec_threads`] exceeds 1.
+/// Parallel counterpart of the serial loop in [`crate::Gpu::run_with`];
+/// entered when the resolved [`GpuConfig::exec_threads`] exceeds 1.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as the serial engine (unfittable
 /// CTA, watchdog); panics from worker threads propagate to the caller.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_parallel(
     cfg: &GpuConfig,
     arch: &ArchConfig,
@@ -95,43 +94,27 @@ pub(crate) fn run_parallel(
     kernel: &Kernel,
     launch: LaunchConfig,
     gmem: &mut GlobalMemory,
-    tracer: &mut Tracer<'_>,
-    snapshot_interval: u64,
-    sample_interval: u64,
-    observer: &mut dyn RunObserver,
-    profiler: &mut Profiler,
-) -> Stats {
+    probes: &mut Probes<'_>,
+) -> Result<RunOutput, BudgetExceeded> {
     // Global memory moves into a lock for the duration of the run:
     // workers read the epoch-start snapshot, the coordinator applies
     // buffered stores at the barrier. Restored below even on unwind
-    // (watchdog, budget abort) so the caller's memory matches what a
+    // (watchdog, worker panic) so the caller's memory matches what a
     // serial run would have left behind.
     let gmem_lock = RwLock::new(std::mem::take(gmem));
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_epochs_inner(
-            cfg,
-            arch,
-            threads,
-            kernel,
-            launch,
-            &gmem_lock,
-            tracer,
-            snapshot_interval,
-            sample_interval,
-            observer,
-            profiler,
-        )
+        run_epochs_inner(cfg, arch, threads, kernel, launch, &gmem_lock, probes)
     }));
     *gmem = gmem_lock
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     match result {
-        Ok(stats) => stats,
+        Ok(run) => run,
         Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_lines)]
 fn run_epochs_inner(
     cfg: &GpuConfig,
     arch: &ArchConfig,
@@ -139,12 +122,8 @@ fn run_epochs_inner(
     kernel: &Kernel,
     launch: LaunchConfig,
     gmem_lock: &RwLock<GlobalMemory>,
-    tracer: &mut Tracer<'_>,
-    snapshot_interval: u64,
-    sample_interval: u64,
-    observer: &mut dyn RunObserver,
-    profiler: &mut Profiler,
-) -> Stats {
+    probes: &mut Probes<'_>,
+) -> Result<RunOutput, BudgetExceeded> {
     let mut memsys = MemSystem::new(cfg);
     let mut slots: Vec<Mutex<SmSlot>> = (0..cfg.num_sms)
         .map(|i| {
@@ -152,7 +131,7 @@ fn run_epochs_inner(
                 sm: Sm::new(i, cfg, arch, kernel.num_regs() as usize),
                 buf: EpochBuffer::default(),
                 sink: EpochSink::default(),
-                profiler: profiler.fork(),
+                profiler: probes.profiler.fork(),
                 completed: 0,
                 active: false,
             })
@@ -193,10 +172,10 @@ fn run_epochs_inner(
     );
     drop(fill_phase);
 
-    let tracing = tracer.is_on();
-    let mut last_snapshot: u64 = 0;
-    let mut last_sample: u64 = 0;
+    let tracing = probes.tracer.is_on();
+    let mut clock = probes.clock();
     let mut end_now: u64 = 0;
+    let mut abort = None;
 
     {
         let slots = &slots;
@@ -258,13 +237,13 @@ fn run_epochs_inner(
                     for p in buf.take_pending() {
                         while (replayed as u64) < p.trace_pos {
                             let r = &events[replayed];
-                            tracer.emit_with(r.now, || r.ev.clone());
+                            probes.tracer.emit_with(r.now, || r.ev.clone());
                             replayed += 1;
                         }
-                        sm.resolve_pending(p, &mut memsys, tracer, profiler);
+                        sm.resolve_pending(p, &mut memsys, &mut probes.tracer, profiler);
                     }
                     for r in &events[replayed..] {
-                        tracer.emit_with(r.now, || r.ev.clone());
+                        probes.tracer.emit_with(r.now, || r.ev.clone());
                     }
                     buf.apply_writes(&mut gmem);
                     if *completed > 0 {
@@ -317,39 +296,11 @@ fn run_epochs_inner(
                 }
                 target
             };
-            if snapshot_interval > 0 && tracing {
-                let boundary = new_now / snapshot_interval * snapshot_interval;
-                if boundary > last_snapshot {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_snapshot = boundary;
-                    for (i, slot) in slots.iter().enumerate() {
-                        let s = &slot.lock().expect("slot lock").sm.stats;
-                        let (issued, scalar) = (s.pipe.issued, s.instr.executed_scalar);
-                        let (comp, raw, act) = (s.rf.ours_bytes, s.rf.raw_bytes, s.rf.ours_arrays);
-                        tracer.emit_with(boundary, || TraceEvent::Snapshot {
-                            sm: i as u32,
-                            issued,
-                            scalar,
-                            rf_bytes_compressed: comp,
-                            rf_bytes_uncompressed: raw,
-                            rf_activations: act,
-                        });
-                    }
-                }
-            }
-            if let Some(intervals) = new_now.checked_div(sample_interval) {
-                let boundary = intervals * sample_interval;
-                if boundary > last_sample {
-                    let _snap_phase = hostprof::phase(hostprof::Phase::Snapshot);
-                    last_sample = boundary;
-                    let mut cum = Stats::default();
-                    for (i, slot) in slots.iter().enumerate() {
-                        let guard = slot.lock().expect("slot lock");
-                        observer.sample_sm(boundary, i, &guard.sm.stats);
-                        cum.merge(&guard.sm.stats);
-                    }
-                    cum.cycles = boundary;
-                    observer.sample(boundary, &cum);
+            if let Some(boundary) = clock.due(new_now) {
+                let slots: Vec<_> = slots.iter().map(|s| s.lock().expect("slot lock")).collect();
+                if let Err(e) = probes.tick(boundary, slots.iter().map(|s| &s.sm.stats)) {
+                    abort = Some(e);
+                    return None;
                 }
             }
             assert!(new_now < WATCHDOG_CYCLES, "simulation watchdog tripped");
@@ -359,15 +310,14 @@ fn run_epochs_inner(
         gscalar_pool::run_epochs(threads, cfg.num_sms, 0, work, next);
     }
 
-    let mut stats = Stats::default();
-    let mut per_sm: Vec<Stats> = Vec::with_capacity(slots.len());
+    let mut per_sm = Vec::with_capacity(slots.len());
     for slot in slots {
         let slot = slot.into_inner().expect("workers have exited");
-        stats.merge(&slot.sm.stats);
         per_sm.push(slot.sm.stats);
-        profiler.absorb(slot.profiler);
+        probes.profiler.absorb(slot.profiler);
     }
-    stats.cycles = end_now;
-    observer.finish(end_now, &stats, &per_sm);
-    stats
+    match abort {
+        Some(e) => Err(e),
+        None => Ok(probes.finish(end_now, per_sm)),
+    }
 }

@@ -500,7 +500,9 @@ impl TraceSink for EventBuf {
 ///
 /// Holds either a sink or nothing; [`emit_with`](Tracer::emit_with)
 /// takes the event as a closure so the disabled path never constructs
-/// the payload — the cost of a dormant trace point is one branch.
+/// the payload — the cost of a dormant trace point is one branch. The
+/// default tracer is [`off`](Tracer::off).
+#[derive(Default)]
 pub struct Tracer<'a> {
     sink: Option<&'a mut dyn TraceSink>,
 }

@@ -8,7 +8,7 @@ use gscalar::analyze::CpiStack;
 use gscalar::core::Arch;
 use gscalar::isa::{CmpOp, Kernel, KernelBuilder, LaunchConfig, Operand, SReg};
 use gscalar::sim::memory::GlobalMemory;
-use gscalar::sim::{Gpu, GpuConfig, RunObserver, Stats};
+use gscalar::sim::{Gpu, GpuConfig, Probes, RunOutput, Stats};
 use gscalar::workloads::{suite, Scale};
 use proptest::prelude::*;
 
@@ -21,18 +21,6 @@ fn multi_sm_config(threads: usize) -> GpuConfig {
     cfg
 }
 
-struct PerSmCapture {
-    per_sm: Vec<Stats>,
-}
-
-impl RunObserver for PerSmCapture {
-    fn sample(&mut self, _cycle: u64, _stats: &Stats) {}
-
-    fn finish(&mut self, _cycle: u64, _merged: &Stats, per_sm: &[Stats]) {
-        self.per_sm = per_sm.to_vec();
-    }
-}
-
 /// Runs the kernel and returns (merged, per-SM) statistics.
 fn run_with_per_sm(
     kernel: &Kernel,
@@ -41,18 +29,9 @@ fn run_with_per_sm(
     threads: usize,
 ) -> (Stats, Vec<Stats>) {
     let mut gpu = Gpu::new(multi_sm_config(threads), Arch::Baseline.config());
-    let mut mem = init.clone();
-    let mut capture = PerSmCapture { per_sm: Vec::new() };
-    let stats = gpu.run_observed(
-        kernel,
-        launch,
-        &mut mem,
-        &mut gscalar::trace::Tracer::off(),
-        0,
-        0,
-        &mut capture,
-    );
-    (stats, capture.per_sm)
+    let run = gpu.run_with(kernel, launch, &mut init.clone(), &mut Probes::default());
+    let RunOutput { stats, per_sm } = run.expect("no budget set");
+    (stats, per_sm)
 }
 
 /// Asserts the accounting identity at every granularity.
@@ -98,17 +77,9 @@ fn suite_stacks_reconcile_on_the_full_chip_config() {
     for w in suite(Scale::Test).into_iter().take(2) {
         let mut gpu = Gpu::new(cfg.clone(), Arch::Baseline.config());
         let mut mem = w.memory.clone();
-        let mut capture = PerSmCapture { per_sm: Vec::new() };
-        let merged = gpu.run_observed(
-            &w.kernel,
-            w.launch,
-            &mut mem,
-            &mut gscalar::trace::Tracer::off(),
-            0,
-            0,
-            &mut capture,
-        );
-        assert_reconciles(&merged, &capture.per_sm, cfg.num_sms, &w.abbr);
+        let run = gpu.run_with(&w.kernel, w.launch, &mut mem, &mut Probes::default());
+        let RunOutput { stats, per_sm } = run.expect("no budget set");
+        assert_reconciles(&stats, &per_sm, cfg.num_sms, &w.abbr);
     }
 }
 
