@@ -19,7 +19,10 @@ echo "== cargo build --release"
 cargo build --release --workspace --offline
 
 echo "== cargo test"
+# Tier-1 wall time is a tracked number: print it.
+test_start=$SECONDS
 cargo test -q --workspace --offline
+echo "cargo test: $((SECONDS - test_start)) s wall"
 
 echo "== perfbench builds and tests against the public API"
 # The benchmark is a workspace of its own that drives the crates

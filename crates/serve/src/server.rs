@@ -31,7 +31,7 @@
 //! restarted server serves the unfinished remainder of any grid
 //! without re-running what finished.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -182,8 +182,9 @@ struct JobRec {
     cancelled: usize,
     failed: usize,
     /// Merged grid manifest (verbatim bytes for `GET .../manifest`),
-    /// present once every unit completed.
-    manifest: Option<String>,
+    /// present once every unit completed. Interned: resubmissions of a
+    /// grid share one copy of identical bytes.
+    manifest: Option<Arc<str>>,
 }
 
 impl JobRec {
@@ -217,9 +218,24 @@ struct Tables {
     rotation: VecDeque<String>,
     queued: usize,
     running: Option<u64>,
+    /// One copy of each distinct grid manifest that `jobs` holds.
+    manifests: HashSet<Arc<str>>,
 }
 
 impl Tables {
+    /// The shared copy of `manifest`, added on first sight. Every
+    /// finished job keeps its manifest for the server's lifetime, and
+    /// resubmitting a grid reproduces its bytes, so sharing them bounds
+    /// the memory a busy server accumulates per grid, not per job.
+    fn intern(&mut self, manifest: String) -> Arc<str> {
+        if let Some(shared) = self.manifests.get(manifest.as_str()) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = manifest.into();
+        self.manifests.insert(Arc::clone(&shared));
+        shared
+    }
+
     fn enqueue(&mut self, client: &str, id: u64) {
         let q = self.queues.entry(client.to_string()).or_default();
         if q.is_empty() {
@@ -429,6 +445,7 @@ fn run_grid(
                   stats: (usize, usize, usize, usize, usize, usize),
                   manifest: Option<String>| {
         let mut t = shared.state.lock().expect("serve state poisoned");
+        let manifest = manifest.map(|m| t.intern(m));
         let rec = t.jobs.get_mut(&id).expect("running job has a record");
         rec.phase = phase;
         rec.detail = detail;
@@ -788,6 +805,17 @@ mod tests {
         assert_eq!(t.queued, 1);
         assert_eq!(t.pick_next(), Some(2));
         assert_eq!(t.pick_next(), None);
+    }
+
+    #[test]
+    fn identical_manifests_share_one_copy() {
+        let mut t = Tables::default();
+        let a = t.intern("{\"m\":1}".to_string());
+        let b = t.intern("{\"m\":1}".to_string());
+        let c = t.intern("{\"m\":2}".to_string());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(&*c, "{\"m\":2}");
+        assert_eq!(t.manifests.len(), 2);
     }
 
     #[test]

@@ -309,6 +309,13 @@ impl<T> OperandCollectors<T> {
         res
     }
 
+    /// [`OperandCollectors::arbitrate`] over empty collectors: only the
+    /// round-robin pointer moves.
+    pub fn tick_idle(&mut self) {
+        debug_assert!(!self.any_pending(), "tick_idle with collectors occupied");
+        self.rr = (self.rr + 1) % self.slots.len().max(1);
+    }
+
     /// Removes and returns entries whose reads are all complete.
     pub fn take_ready(&mut self) -> Vec<T> {
         self.take_ready_when(|_| true)

@@ -6,7 +6,7 @@ use gscalar_compress::{bdi, bytewise, Encoding, RegFileMeta};
 use gscalar_hostprof as hostprof;
 use gscalar_isa::{AluOp, Dim3, FuncUnit, Instr, InstrKind, Kernel, Operand, Reg, Space};
 use gscalar_profile::{EligClass, Profiler};
-use gscalar_trace::{ModeKind, StallReason, TraceEvent, Tracer, UnitKind};
+use gscalar_trace::{ModeKind, TraceEvent, Tracer, UnitKind};
 
 use crate::config::{ArchConfig, GpuConfig};
 use crate::exec;
@@ -14,8 +14,8 @@ use crate::memory::{GlobalMemory, SharedMemory};
 use crate::memsys::MemSystem;
 use crate::pipeline::Pipe;
 use crate::regfile::{OcEntry, OperandCollectors, ReadReq, ReadSet};
-use crate::scheduler::Scheduler;
-use crate::scoreboard::Scoreboard;
+use crate::scheduler::{Scheduler, Stall, StallScan, Verdict};
+use crate::scoreboard::{Hazards, Scoreboard, PENDING};
 use crate::stats::{ScalarClass, SchedStats, Stats};
 use crate::warp::Warp;
 
@@ -225,6 +225,9 @@ pub struct Sm {
     arch: ArchConfig,
     warps: Vec<Option<Warp>>,
     scoreboards: Vec<Scoreboard>,
+    /// Per-PC scoreboard hazards of the kernel, built at the first CTA
+    /// launch.
+    hazards: Vec<Hazards>,
     schedulers: Vec<Scheduler>,
     oc: OperandCollectors<Inflight>,
     alu_pipes: Vec<Pipe<Inflight>>,
@@ -235,11 +238,19 @@ pub struct Sm {
     num_regs_per_warp: usize,
     /// Latest scheduled scoreboard release (for idle skipping).
     last_release: u64,
-    /// Per-scheduler reason of the most recent stall, used to attribute
-    /// idle-skip jumps (see [`Sm::charge_idle_skip`]). A skip only
-    /// happens after a cycle in which every scheduler stalled, so the
-    /// entry is always fresh when it is read.
-    last_stall: Vec<StallReason>,
+    /// Per-scheduler verdict of the most recent stall, used to
+    /// attribute idle-skip jumps (see [`Sm::charge_idle_skip`]) and
+    /// replayed while the SM is frozen. A skip or a freeze only follows
+    /// a cycle in which every scheduler stalled, so the entry is always
+    /// fresh when it is read.
+    last_stall: Vec<Stall>,
+    /// While `Some(wake)`, the SM is frozen: the last cycle issued
+    /// nothing, collected no operands and wrote nothing back, so every
+    /// cycle before `wake` (the next pipe completion or scoreboard
+    /// release) repeats `last_stall` exactly and is replayed from it.
+    /// Cleared by anything else that can change a verdict: a CTA launch
+    /// and a deferred memory request resolving at an epoch barrier.
+    frozen_until: Option<u64>,
     /// Writeback scratch: instructions drained from the pipes this
     /// cycle. Reused every cycle so the hot path never allocates.
     finished: Vec<Inflight>,
@@ -278,7 +289,10 @@ impl Sm {
             cfg: cfg.clone(),
             arch: arch.clone(),
             warps: (0..max_warps).map(|_| None).collect(),
-            scoreboards: (0..max_warps).map(|_| Scoreboard::new()).collect(),
+            scoreboards: (0..max_warps)
+                .map(|_| Scoreboard::new(num_regs_per_warp))
+                .collect(),
+            hazards: Vec::new(),
             schedulers: (0..cfg.schedulers)
                 .map(|s| Scheduler::new(cfg.sched, per_sched(s)))
                 .collect(),
@@ -295,7 +309,8 @@ impl Sm {
             ctas: (0..cfg.ctas_per_sm).map(|_| None).collect(),
             num_regs_per_warp: num_regs_per_warp.max(1),
             last_release: 0,
-            last_stall: vec![StallReason::Drained; cfg.schedulers],
+            last_stall: vec![Stall::DRAINED; cfg.schedulers],
+            frozen_until: None,
             finished: Vec::new(),
             write_banks: Vec::new(),
             exec_vals: Vec::new(),
@@ -368,6 +383,10 @@ impl Sm {
             .iter()
             .position(|c| c.is_none())
             .expect("checked by can_accept_cta");
+        if self.hazards.is_empty() {
+            self.hazards = kernel.instrs().iter().map(Hazards::of).collect();
+        }
+        self.frozen_until = None;
         self.ctas[slot] = Some(CtaState {
             warps_total: warps_needed,
             warps_done: 0,
@@ -394,7 +413,7 @@ impl Sm {
                 block,
                 grid,
             ));
-            self.scoreboards[w] = Scoreboard::new();
+            self.scoreboards[w].clear();
             remaining -= in_warp;
             tid_base += in_warp as u32;
         }
@@ -442,6 +461,13 @@ impl Sm {
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
+        if let Some(wake) = self.frozen_until {
+            if now < wake {
+                self.replay_stall(now, kernel, tracer, profiler);
+                return 0;
+            }
+            self.frozen_until = None;
+        }
         // 1. Writeback. Both scratch vectors live on the SM and are
         // reused cycle after cycle: the writeback path allocates
         // nothing.
@@ -454,6 +480,7 @@ impl Sm {
         self.lsu_pipe.drain_finished_into(now, &mut finished);
         let mut write_banks = std::mem::take(&mut self.write_banks);
         write_banks.clear();
+        let wrote_back = !finished.is_empty();
         for f in finished.drain(..) {
             if let (Some(b), false) = (f.wb_bank, f.wb_bvr_only) {
                 write_banks.push(b);
@@ -473,6 +500,7 @@ impl Sm {
 
         // 2. Operand collection.
         let oc_phase = hostprof::phase(hostprof::Phase::OperandCollect);
+        let collecting = self.oc.any_pending();
         let arb = self.oc.arbitrate(&write_banks);
         self.write_banks = write_banks;
         self.stats.pipe.bank_conflict_cycles += arb.data_conflicts;
@@ -512,19 +540,76 @@ impl Sm {
         drop(dispatch_phase);
 
         // 4. Issue from each scheduler.
-        {
-            let _sched_phase = hostprof::phase(hostprof::Phase::Scheduler);
-            for w in 0..self.warps.len() {
-                if self.warps[w].is_some() {
-                    self.scoreboards[w].expire(now);
-                }
-            }
-        }
+        let issued_before = self.stats.pipe.issued;
         let mut completed_ctas = 0;
         for s in 0..self.schedulers.len() {
             completed_ctas += self.issue_one(s, now, kernel, port, rf_conflict, tracer, profiler);
         }
+        if !wrote_back
+            && !collecting
+            && self.stats.pipe.issued == issued_before
+            && !self.oc.any_pending()
+        {
+            self.frozen_until = Some(self.wake());
+        }
         completed_ctas
+    }
+
+    /// When a frozen SM's verdicts can next change: the earliest pipe
+    /// completion (a writeback) or known scoreboard release.
+    fn wake(&self) -> u64 {
+        let release = self.last_stall.iter().map(|st| st.wake).min();
+        self.next_event()
+            .into_iter()
+            .chain(release)
+            .min()
+            .unwrap_or(PENDING)
+    }
+
+    /// Runs one cycle of a frozen SM: exactly the effects the full cycle
+    /// would have — an empty arbitration and every scheduler charging
+    /// its cached stall — without recomputing any verdict.
+    fn replay_stall(
+        &mut self,
+        now: u64,
+        kernel: &Kernel,
+        tracer: &mut Tracer<'_>,
+        profiler: &mut Profiler,
+    ) {
+        let _sched_phase = hostprof::phase(hostprof::Phase::Scheduler);
+        self.oc.tick_idle();
+        if cfg!(debug_assertions) {
+            self.assert_frozen_verdicts(now, kernel);
+        }
+        for s in 0..self.schedulers.len() {
+            self.charge_stall(s, self.last_stall[s], now, tracer, profiler);
+        }
+    }
+
+    /// Debug-build cross-check of the replay invariant: recomputing
+    /// every scheduler's verdict and the wake cycle read-only at `now`
+    /// must reproduce the frozen cache, so every debug test run is also
+    /// a polled-vs-replayed differential.
+    fn assert_frozen_verdicts(&self, now: u64, kernel: &Kernel) {
+        // A frozen SM's collectors are empty, so a collector is free.
+        let oc_free = self.oc.free_slots() > 0;
+        for (s, sched) in self.schedulers.iter().enumerate() {
+            let mut scan = StallScan::new();
+            for &w in sched.warps() {
+                let v = warp_verdict(
+                    self.warps[w].as_ref(),
+                    &self.scoreboards[w],
+                    &self.hazards,
+                    kernel,
+                    now,
+                    oc_free,
+                );
+                assert!(!scan.note(w, v), "frozen SM {} can issue warp {w}", self.id);
+            }
+            // Empty collectors lose no arbitration: no bank conflict.
+            assert_eq!(scan.stall(false), self.last_stall[s], "sched {s} at {now}");
+        }
+        assert_eq!(Some(self.wake()), self.frozen_until, "wake at {now}");
     }
 
     /// Resolves one deferred memory request at the epoch barrier,
@@ -545,6 +630,7 @@ impl Sm {
             base_finish,
             trace_pos: _,
         } = p;
+        self.frozen_until = None;
         let mut finish = base_finish;
         {
             let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
@@ -619,8 +705,8 @@ impl Sm {
         if skipped == 0 {
             return;
         }
-        for (sc, &reason) in self.stats.sched.iter_mut().zip(self.last_stall.iter()) {
-            sc.skipped.add_n(reason, skipped);
+        for (sc, stall) in self.stats.sched.iter_mut().zip(self.last_stall.iter()) {
+            sc.skipped.add_n(stall.reason, skipped);
         }
     }
 
@@ -639,47 +725,25 @@ impl Sm {
         profiler: &mut Profiler,
     ) -> usize {
         let oc_free = self.oc.free_slots() > 0;
-        let warps = &self.warps;
-        let scoreboards = &self.scoreboards;
-        // Warp pick and (on a miss) stall classification are the
-        // scheduler's host cost; the issued path hands off to Execute.
+        let (warps, scoreboards, hazards) = (&self.warps, &self.scoreboards, &self.hazards);
+        // Warp pick and stall classification are the scheduler's host
+        // cost; the issued path hands off to Execute. One pass does
+        // both: the readiness closure folds each verdict into the scan.
         let sched_phase = hostprof::phase(hostprof::Phase::Scheduler);
+        let mut scan = StallScan::new();
         let picked = self.schedulers[s].pick(|w| {
-            let Some(warp) = warps[w].as_ref() else {
-                return false;
-            };
-            if warp.is_done() || warp.at_barrier {
-                return false;
-            }
-            let instr = kernel.instr(warp.simt.pc());
-            if !scoreboards[w].can_issue(instr, now) {
-                return false;
-            }
-            // Non-control instructions need a collector slot.
-            instr.func_unit() == FuncUnit::Control || oc_free
+            let v = warp_verdict(
+                warps[w].as_ref(),
+                &scoreboards[w],
+                hazards,
+                kernel,
+                now,
+                oc_free,
+            );
+            scan.note(w, v)
         });
         let Some(w) = picked else {
-            let (reason, culprit) = self.classify_stall(s, now, kernel, rf_conflict);
-            self.stats.pipe.scheduler_idle_cycles += 1;
-            self.stats.pipe.stalls.add(reason);
-            self.stats.sched[s].stalls.add(reason);
-            self.last_stall[s] = reason;
-            if profiler.is_on() {
-                // Charge the idle cycle to the instruction at the head
-                // of the culprit warp; drained cycles have no culprit
-                // and land in the profile's unattributed pool.
-                let pc = culprit
-                    .and_then(|cw| self.warps[cw as usize].as_ref())
-                    .map(|warp| warp.simt.pc());
-                profiler.record_stall(pc, reason);
-            }
-            let sm = self.id as u32;
-            tracer.emit_with(now, || TraceEvent::Stall {
-                sm,
-                sched: s as u32,
-                warp: culprit,
-                reason,
-            });
+            self.charge_stall(s, scan.stall(rf_conflict), now, tracer, profiler);
             return 0;
         };
         drop(sched_phase);
@@ -689,71 +753,38 @@ impl Sm {
         self.execute_instruction(w, s, now, kernel, port, tracer, profiler)
     }
 
-    /// Classifies why scheduler `s` issued nothing this cycle, charging
-    /// exactly one [`StallReason`] so the breakdown sums to
-    /// `scheduler_idle_cycles`. Returns the reason and, when one warp
-    /// epitomizes it, that warp's slot index.
-    ///
-    /// Per-warp causes aggregate with back-of-pipe causes first — a
-    /// warp held up by collector/bank pressure points at a structural
-    /// bottleneck even if its siblings also wait on memory:
-    /// collector-full (refined to bank-conflict when this cycle's
-    /// arbitration lost reads) > memory pending > scoreboard > barrier
-    /// > drained.
-    fn classify_stall(
-        &self,
+    /// Charges scheduler `s`'s idle slot at `now` to `stall`.
+    fn charge_stall(
+        &mut self,
         s: usize,
+        stall: Stall,
         now: u64,
-        kernel: &Kernel,
-        rf_conflict: bool,
-    ) -> (StallReason, Option<u32>) {
-        let mut barrier: Option<u32> = None;
-        let mut mem: Option<u32> = None;
-        let mut data: Option<u32> = None;
-        let mut no_collector: Option<u32> = None;
-        for &w in self.schedulers[s].warps() {
-            let Some(warp) = self.warps[w].as_ref() else {
-                continue;
-            };
-            if warp.is_done() {
-                continue;
-            }
-            if warp.at_barrier {
-                barrier.get_or_insert(w as u32);
-                continue;
-            }
-            let instr = kernel.instr(warp.simt.pc());
-            match self.scoreboards[w].blocking_is_mem(instr, now) {
-                Some(true) => {
-                    mem.get_or_insert(w as u32);
-                }
-                Some(false) => {
-                    data.get_or_insert(w as u32);
-                }
-                // Issuable by scoreboard rules, so only the collector
-                // gate can have blocked it (control instructions never
-                // reach here: the scheduler would have picked them).
-                None => {
-                    no_collector.get_or_insert(w as u32);
-                }
-            }
+        tracer: &mut Tracer<'_>,
+        profiler: &mut Profiler,
+    ) {
+        let Stall {
+            reason, culprit, ..
+        } = stall;
+        self.stats.pipe.scheduler_idle_cycles += 1;
+        self.stats.pipe.stalls.add(reason);
+        self.stats.sched[s].stalls.add(reason);
+        self.last_stall[s] = stall;
+        if profiler.is_on() {
+            // Charge the idle cycle to the instruction at the head of
+            // the culprit warp; drained cycles have no culprit and land
+            // in the profile's unattributed pool.
+            let pc = culprit
+                .and_then(|cw| self.warps[cw as usize].as_ref())
+                .map(|warp| warp.simt.pc());
+            profiler.record_stall(pc, reason);
         }
-        if let Some(w) = no_collector {
-            let reason = if rf_conflict {
-                StallReason::RfBankConflict
-            } else {
-                StallReason::NoCollector
-            };
-            (reason, Some(w))
-        } else if let Some(w) = mem {
-            (StallReason::MemPending, Some(w))
-        } else if let Some(w) = data {
-            (StallReason::Scoreboard, Some(w))
-        } else if let Some(w) = barrier {
-            (StallReason::Barrier, Some(w))
-        } else {
-            (StallReason::Drained, None)
-        }
+        let sm = self.id as u32;
+        tracer.emit_with(now, || TraceEvent::Stall {
+            sm,
+            sched: s as u32,
+            warp: culprit,
+            reason,
+        });
     }
 
     /// Issues (and functionally executes) the instruction at warp `w`'s
@@ -1523,6 +1554,34 @@ impl Sm {
             return 1;
         }
         0
+    }
+}
+
+/// One warp's readiness: the per-warp check behind every scheduler pick
+/// and stall classification.
+fn warp_verdict(
+    warp: Option<&Warp>,
+    scoreboard: &Scoreboard,
+    hazards: &[Hazards],
+    kernel: &Kernel,
+    now: u64,
+    oc_free: bool,
+) -> Verdict {
+    let Some(warp) = warp.filter(|w| !w.is_done()) else {
+        return Verdict::Empty;
+    };
+    if warp.at_barrier {
+        return Verdict::Barrier;
+    }
+    let pc = warp.simt.pc();
+    if let Some(b) = scoreboard.blocking_until(&hazards[pc], now) {
+        return Verdict::Blocked(b);
+    }
+    // Non-control instructions need a collector slot.
+    if oc_free || kernel.instr(pc).func_unit() == FuncUnit::Control {
+        Verdict::Ready
+    } else {
+        Verdict::NoCollector
     }
 }
 

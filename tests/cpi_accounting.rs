@@ -8,7 +8,8 @@ use gscalar::analyze::CpiStack;
 use gscalar::core::Arch;
 use gscalar::isa::{CmpOp, Kernel, KernelBuilder, LaunchConfig, Operand, SReg};
 use gscalar::sim::memory::GlobalMemory;
-use gscalar::sim::{Gpu, GpuConfig, Probes, RunOutput, Stats};
+use gscalar::sim::{Gpu, GpuConfig, Probes, Profiler, RunOutput, Stats};
+use gscalar::trace::{EventBuf, StallReason, Tracer};
 use gscalar::workloads::{suite, Scale};
 use proptest::prelude::*;
 
@@ -192,5 +193,123 @@ proptest! {
         prop_assert_eq!(&serial, &parallel);
         prop_assert_eq!(&serial_per_sm, &parallel_per_sm);
         assert_reconciles(&parallel, &parallel_per_sm, 4, "parallel");
+    }
+}
+
+/// One step of a memory-bound random kernel: loads consumed right
+/// away, so warps sit on long-latency misses and whole SMs spend
+/// stretches with nothing to issue — the cycles an SM replays from its
+/// cached stall verdicts instead of re-polling every warp.
+#[derive(Debug, Clone)]
+enum MemStep {
+    /// A load `stride` words apart per thread (1 coalesces; wider
+    /// strides spread one warp's access over many lines), used at once.
+    LoadUse(u32),
+    /// Two independent loads 4 KiB apart, then one use of both.
+    LoadPair(u32),
+    AddImm(u32),
+    Store,
+    Barrier,
+}
+
+fn mem_step_strategy() -> impl Strategy<Value = MemStep> {
+    prop_oneof![
+        prop_oneof![Just(1u32), Just(8), Just(33)].prop_map(MemStep::LoadUse),
+        prop_oneof![Just(1u32), Just(16)].prop_map(MemStep::LoadPair),
+        (1u32..1000).prop_map(MemStep::AddImm),
+        Just(MemStep::Store),
+        Just(MemStep::Barrier),
+    ]
+}
+
+fn build_mem_kernel(steps: &[MemStep]) -> Kernel {
+    let base = 0x10_0000u32;
+    let out = 0x80_0000u32;
+    let mut b = KernelBuilder::new("rand_mem");
+    let tid = b.s2r(SReg::TidX);
+    let ctaid = b.s2r(SReg::CtaIdX);
+    let ntid = b.s2r(SReg::NTidX);
+    let gid = b.imad(ctaid.into(), ntid.into(), tid.into());
+    let off = b.shl(gid.into(), Operand::Imm(2));
+    let out_addr = b.iadd(off.into(), Operand::Imm(out));
+    // Every kernel waits on memory at least once: the accumulator
+    // starts as a load and the final store consumes it.
+    let first = b.iadd(off.into(), Operand::Imm(base));
+    let acc = b.ld_global(first, 0);
+    for step in steps {
+        match step {
+            MemStep::LoadUse(stride) | MemStep::LoadPair(stride) => {
+                let scaled = b.imul(off.into(), Operand::Imm(*stride));
+                let addr = b.iadd(scaled.into(), Operand::Imm(base));
+                let v = b.ld_global(addr, 0);
+                let v = if matches!(step, MemStep::LoadPair(_)) {
+                    let w = b.ld_global(addr, 4096);
+                    b.xor(v.into(), w.into())
+                } else {
+                    v
+                };
+                let t = b.iadd(acc.into(), v.into());
+                b.mov_to(acc, t.into());
+            }
+            MemStep::AddImm(k) => {
+                let t = b.iadd(acc.into(), Operand::Imm(*k));
+                b.mov_to(acc, t.into());
+            }
+            MemStep::Store => b.st_global(out_addr, acc, 0),
+            MemStep::Barrier => b.bar(),
+        }
+    }
+    b.st_global(out_addr, acc, 0);
+    b.exit();
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn memory_bound_random_kernels_keep_the_ledger_exact(
+        steps in proptest::collection::vec(mem_step_strategy(), 1..8),
+        ctas in 1u32..9,
+        warps in 1u32..4,
+    ) {
+        let kernel = build_mem_kernel(&steps);
+        let launch = LaunchConfig::linear(ctas, warps * 32);
+        let mut init = GlobalMemory::new();
+        for t in 0..u64::from(ctas * warps * 32) * 33 + 1024 {
+            init.write_u32(0x10_0000 + t * 4, (t * 7 + 1) as u32);
+        }
+        for arch in [Arch::Baseline, Arch::GScalar] {
+            let run = |threads: usize, observed: bool| {
+                let mut gpu = Gpu::new(multi_sm_config(threads), arch.config());
+                let mut buf = EventBuf::new(1 << 16);
+                let mut probes = Probes::default();
+                if observed {
+                    probes.tracer = Tracer::new(&mut buf);
+                    probes.profiler = Profiler::for_kernel(0, kernel.name(), kernel.len());
+                }
+                let run = gpu.run_with(&kernel, launch, &mut init.clone(), &mut probes);
+                run.expect("no budget set")
+            };
+            let plain = run(1, false);
+            let stats = &plain.stats;
+            prop_assert!(stats.pipe.stalls.get(StallReason::MemPending) > 0);
+            prop_assert_eq!(stats.pipe.stalls.total(), stats.pipe.scheduler_idle_cycles);
+            for sm in &plain.per_sm {
+                prop_assert_eq!(sm.pipe.stalls.total(), sm.pipe.scheduler_idle_cycles);
+                for sc in &sm.sched {
+                    prop_assert_eq!(
+                        sc.issued + sc.stalls.total() + sc.skipped.total(),
+                        stats.cycles
+                    );
+                }
+            }
+            let observed = run(1, true);
+            prop_assert_eq!(&observed.stats, stats);
+            prop_assert_eq!(&observed.per_sm, &plain.per_sm);
+            let parallel = run(2, false);
+            prop_assert_eq!(&parallel.stats, stats);
+            prop_assert_eq!(&parallel.per_sm, &plain.per_sm);
+        }
     }
 }
