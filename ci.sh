@@ -37,31 +37,16 @@ trap 'rm -rf "$tmp"' EXIT
 # schedule-independent, so the baseline compare is unaffected.
 ./target/release/probe --scale test --threads 2 --json "$tmp/probe.json" > /dev/null
 
-echo "== bottleneck smoke (CPI reconciliation, golden manifest, parallel bytes)"
+echo "== bottleneck smoke (CPI reconciliation, golden manifest)"
 # The binary exits non-zero when any CPI stack fails exact
 # reconciliation; its deterministic manifest is pinned byte-for-byte
-# against the committed golden and must be byte-identical under the
-# parallel execution engine.
+# against the committed golden.
 ./target/release/bottleneck --scale test --deterministic \
     --json "$tmp/bottleneck.json" > /dev/null
 cmp ci/baseline/bottleneck.json "$tmp/bottleneck.json"
-./target/release/bottleneck --scale test --deterministic --sim-threads 4 \
-    --json "$tmp/bottleneck-par.json" > /dev/null
-cmp "$tmp/bottleneck.json" "$tmp/bottleneck-par.json"
-rm "$tmp/bottleneck-par.json" "$tmp/bottleneck-par.host.json"
 
 # Metric-level gate over both smoke manifests (probe + bottleneck).
 ./target/release/report compare ci/baseline "$tmp"
-
-echo "== parallel execution engine (byte-identical manifests)"
-# The in-process parallel engine must produce byte-identical reports at
-# any --sim-threads setting (same stats, same digests, same manifest).
-./target/release/probe --scale test --deterministic \
-    --json "$tmp/engine-serial.json" > /dev/null
-./target/release/probe --scale test --deterministic --sim-threads 4 \
-    --json "$tmp/engine-par.json" > /dev/null
-cmp "$tmp/engine-serial.json" "$tmp/engine-par.json"
-rm "$tmp/engine-serial.json" "$tmp/engine-par.json"
 
 echo "== sweep smoke (parallel run, resume, deterministic manifests)"
 ./target/release/sweep probe --scale test --threads 2 --out "$tmp/sweep" 2> /dev/null
@@ -76,41 +61,29 @@ cmp "$tmp/sweep/probe.json" "$tmp/serial-probe.json"
 rerun=$(./target/release/sweep probe --scale test --threads 2 --out "$tmp/sweep" 2>&1)
 grep -q "0 executed" <<< "$rerun"
 
-echo "== hostprof off-path (deterministic manifests unchanged at 1/2/4 threads)"
+echo "== hostprof off-path (deterministic manifests unchanged)"
 # Host-side profiling must never perturb simulated results: with
 # --hostprof, deterministic manifests stay byte-identical to the plain
-# serial run at every thread count. Real timings land in the
-# *.host.json side channel instead, which is never part of the gate.
+# serial run. Real timings land in the *.host.json side channel
+# instead, which is never part of the gate.
 ./target/release/probe --scale test --deterministic --hostprof \
     --json "$tmp/hp-t1.json" > /dev/null
-./target/release/probe --scale test --deterministic --hostprof --sim-threads 2 \
-    --json "$tmp/hp-t2.json" > /dev/null
-./target/release/probe --scale test --deterministic --hostprof --sim-threads 4 \
-    --json "$tmp/hp-t4.json" > /dev/null
 cmp "$tmp/serial-probe.json" "$tmp/hp-t1.json"
-cmp "$tmp/serial-probe.json" "$tmp/hp-t2.json"
-cmp "$tmp/serial-probe.json" "$tmp/hp-t4.json"
 test -s "$tmp/hp-t1.host.json"
-rm "$tmp"/hp-t[124].json "$tmp"/hp-t[124].host.json
+rm "$tmp/hp-t1.json" "$tmp/hp-t1.host.json"
 
 echo "== live telemetry (stream advisory, manifests byte-identical)"
 # --live must never change simulated results: deterministic manifests
-# stay byte-identical to the plain serial run, serially and under the
-# parallel execution engine. The stream itself must parse strictly
-# line-by-line with at least one snapshot and a terminal record
-# (`watch check`), and the dashboard must render from the file.
+# stay byte-identical to the plain serial run. The stream itself must
+# parse strictly line-by-line with at least one snapshot and a terminal
+# record (`watch check`), and the dashboard must render from the file.
 # Subdirectory: compare globs over $tmp/*.json must never see these.
 mkdir -p "$tmp/live"
 ./target/release/probe --scale test --deterministic \
     --live "$tmp/live/probe.ndjson" --live-interval 256 \
     --json "$tmp/live/live-on.json" > /dev/null
 cmp "$tmp/serial-probe.json" "$tmp/live/live-on.json"
-./target/release/probe --scale test --deterministic --sim-threads 4 \
-    --live "$tmp/live/probe-par.ndjson" --live-interval 256 \
-    --json "$tmp/live/live-par.json" > /dev/null
-cmp "$tmp/serial-probe.json" "$tmp/live/live-par.json"
 ./target/release/watch check "$tmp/live/probe.ndjson" > /dev/null
-./target/release/watch check "$tmp/live/probe-par.ndjson" > /dev/null
 # Capture first: grep -q closing the pipe early would SIGPIPE the
 # renderer under pipefail.
 frame=$(./target/release/watch "$tmp/live/probe.ndjson" --once)
@@ -174,7 +147,7 @@ echo "== throughput smoke + regression floor (gated)"
 # stay informational — but the aggregate serial engine throughput is
 # held to a one-sided floor: a drop of more than 10% against the
 # committed trend file fails CI, while improvements (and noisy per-app
-# or parallel-engine numbers) only print. Regenerate the floor after an
+# numbers) only print. Regenerate the floor after an
 # intentional change with:
 #   cargo run --release -p gscalar-bench --bin throughput -- \
 #       --scale test --json BENCH_throughput.json

@@ -36,7 +36,6 @@ struct Options {
     names: Vec<String>,
     scale: Scale,
     threads: usize,
-    sim_threads: usize,
     budget: u64,
     retries: u32,
     out: Option<PathBuf>,
@@ -54,7 +53,6 @@ fn parse_args() -> Result<Options, String> {
         names: Vec::new(),
         scale: Scale::Full,
         threads: 1,
-        sim_threads: 1,
         budget: 0,
         retries: 1,
         out: None,
@@ -80,11 +78,6 @@ fn parse_args() -> Result<Options, String> {
                 o.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--sim-threads" => {
-                o.sim_threads = value("--sim-threads")?
-                    .parse()
-                    .map_err(|e| format!("--sim-threads: {e}"))?;
             }
             "--budget" => {
                 o.budget = value("--budget")?
@@ -178,10 +171,6 @@ fn run() -> Result<ExitCode, String> {
 
 fn run_selected(o: &Options, live: Option<gscalar_live::LiveHandle>) -> Result<ExitCode, String> {
     let exps = select(o)?;
-
-    // Simulator-level parallelism (within one job) on top of job-level
-    // parallelism; byte-identical results make the combination safe.
-    gscalar_sim::config::set_default_exec_threads(o.sim_threads);
 
     // Build the whole job grid in registry order; job IDs are
     // deterministic, so the merged output never depends on scheduling.

@@ -2,11 +2,9 @@
 //! second does the simulator sustain, and where does the host time go?
 //!
 //! Runs a pinned workload mix — the 17 Table 2 kernels, each weighted
-//! by its own simulated cycle count — twice: once on the serial engine
-//! and once on the parallel epoch engine (minimum 2 executor threads,
-//! so barrier-wait and work-stealing telemetry engage). Host-side
-//! profiling ([`gscalar_hostprof`]) is always on here; the report is
-//! the per-phase exclusive wall-time breakdown plus per-phase
+//! by its own simulated cycle count — once. Host-side profiling
+//! ([`gscalar_hostprof`]) is always on here; the report is the
+//! per-phase exclusive wall-time breakdown plus per-phase
 //! `cycles_per_host_s`.
 //!
 //! ```sh
@@ -33,26 +31,18 @@ use gscalar_hostprof as hostprof;
 use gscalar_sim::GpuConfig;
 use gscalar_workloads::suite;
 
-/// One engine pass over the whole mix: runs every workload, records
-/// per-workload and aggregate throughput under `host/<tag>/...`, and
+/// One pass over the whole mix: runs every workload, records
+/// per-workload and aggregate throughput under `host/serial/...`, and
 /// returns `(total_cycles, wall_seconds)`.
-fn run_mix(
-    r: &mut Report,
-    workloads: &[Workload],
-    base: &GpuConfig,
-    threads: usize,
-    tag: &str,
-) -> (u64, f64) {
-    let mut cfg = base.clone();
-    cfg.exec_threads = threads;
-    let runner = Runner::new(cfg);
+fn run_mix(r: &mut Report, workloads: &[Workload], cfg: &GpuConfig) -> (u64, f64) {
+    let runner = Runner::new(cfg.clone());
     let mut total_cycles = 0u64;
     let t0 = Instant::now();
     for w in workloads {
         // Harness catches everything the per-cycle probes inside the
         // simulator do not claim (setup, memory clone, stats merge).
         let _h = hostprof::phase(hostprof::Phase::Harness);
-        let _t = hostprof::timeline_scope(&format!("{tag}:{}", w.abbr));
+        let _t = hostprof::timeline_scope(&format!("serial:{}", w.abbr));
         let wt0 = Instant::now();
         let rep = runner.run(w, Arch::GScalar);
         let ws = wt0.elapsed().as_secs_f64();
@@ -63,18 +53,18 @@ fn run_mix(
             0.0
         };
         r.metric(
-            &format!("host/{tag}/{}/cycles", w.abbr),
+            &format!("host/serial/{}/cycles", w.abbr),
             rep.stats.cycles as f64,
         );
-        r.metric(&format!("host/{tag}/{}/wall_s", w.abbr), ws);
-        r.metric(&format!("host/{tag}/{}/cycles_per_host_s", w.abbr), cps);
+        r.metric(&format!("host/serial/{}/wall_s", w.abbr), ws);
+        r.metric(&format!("host/serial/{}/cycles_per_host_s", w.abbr), cps);
     }
     let wall = t0.elapsed().as_secs_f64();
     r.add_cycles(total_cycles);
-    r.metric(&format!("host/{tag}/total_cycles"), total_cycles as f64);
-    r.metric(&format!("host/{tag}/wall_s"), wall);
+    r.metric("host/serial/total_cycles", total_cycles as f64);
+    r.metric("host/serial/wall_s", wall);
     r.metric(
-        &format!("host/{tag}/cycles_per_host_s"),
+        "host/serial/cycles_per_host_s",
         if wall > 0.0 {
             total_cycles as f64 / wall
         } else {
@@ -112,40 +102,30 @@ fn main() -> ExitCode {
     r.title("host throughput: 17-kernel mix, cycle-weighted");
     r.config(&cfg);
 
-    // Pass 1: serial engine. Snapshot right after, while every phase
-    // ran on this one thread, to check instrumentation coverage: the
-    // exclusive phase totals must sum (within slop) to the pass's wall
-    // time.
-    let (serial_cycles, serial_wall) = run_mix(&mut r, &workloads, &cfg, 1, "serial");
-    let serial_snap = hostprof::snapshot();
+    // Every phase runs on this one thread, so the exclusive phase
+    // totals must sum (within slop) to the pass's wall time: that is
+    // the instrumentation coverage.
+    let (serial_cycles, serial_wall) = run_mix(&mut r, &workloads, &cfg);
+    let snap = hostprof::snapshot();
     let coverage = if serial_wall > 0.0 {
-        serial_snap.total_ns() as f64 / (serial_wall * 1e9)
+        snap.total_ns() as f64 / (serial_wall * 1e9)
     } else {
         0.0
     };
     r.metric("host/serial/instrumented_fraction", coverage);
 
-    // Pass 2: parallel epoch engine — exercises barrier-wait and
-    // work-stealing telemetry. Accumulates on top of pass 1 (worker
-    // self-time overlaps the coordinator, so phase totals now read as
-    // CPU time, not wall time).
-    let threads = opts.sim_threads.max(2);
-    let (_par_cycles, par_wall) = run_mix(&mut r, &workloads, &cfg, threads, "parallel");
-
-    let snap = hostprof::snapshot();
-    let total_cycles = serial_cycles; // weight basis: one serial mix
     for (i, p) in hostprof::Phase::ALL.iter().enumerate() {
         let ns = snap.phases[i].ns;
         if ns > 0 {
             r.metric(
                 &format!("host/phase/{}/cycles_per_host_s", p.name()),
-                total_cycles as f64 / (ns as f64 / 1e9),
+                serial_cycles as f64 / (ns as f64 / 1e9),
             );
         }
     }
 
     r.blank();
-    r.note(&snap.render(serial_wall + par_wall));
+    r.note(&snap.render(serial_wall));
     r.note(&format!(
         "serial pass: {serial_cycles} cycles in {serial_wall:.3}s \
          ({:.0} cycles/host-s), instrumented coverage {:.1}%",
@@ -155,9 +135,6 @@ fn main() -> ExitCode {
             0.0
         },
         100.0 * coverage
-    ));
-    r.note(&format!(
-        "parallel pass ({threads} sim threads): {par_wall:.3}s wall"
     ));
     if !(0.5..=1.5).contains(&coverage) {
         r.note(&format!(

@@ -225,7 +225,7 @@ impl JobSim {
 /// Command-line options shared by every experiment binary.
 ///
 /// This is the *single* parser for the flag set the binaries share —
-/// `--scale`, `--threads`, `--budget`, `--sim-threads`, `--hostprof`,
+/// `--scale`, `--threads`, `--budget`, `--hostprof`,
 /// `--json`, `--deterministic`, `--live`, `--live-interval` — so no
 /// binary re-implements flag handling. [`Report::from_args`] delegates
 /// here too.
@@ -237,10 +237,6 @@ pub struct CliOptions {
     pub threads: usize,
     /// Per-job simulated-cycle budget (`--budget N`, default unlimited).
     pub budget: u64,
-    /// Simulator executor threads per simulation (`--sim-threads N`,
-    /// default 1 = serial; 0 = all cores). Results are byte-identical
-    /// at any setting; see `gscalar_sim::parallel`.
-    pub sim_threads: usize,
     /// Host-side self-profiling (`--hostprof`, default off). Purely
     /// observational: simulated results are byte-identical either way.
     pub hostprof: bool,
@@ -271,7 +267,6 @@ impl CliOptions {
             scale: Scale::Full,
             threads: 1,
             budget: 0,
-            sim_threads: 1,
             hostprof: false,
             json: None,
             deterministic: false,
@@ -294,11 +289,6 @@ impl CliOptions {
                 "--budget" => {
                     if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
                         o.budget = n;
-                    }
-                }
-                "--sim-threads" => {
-                    if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                        o.sim_threads = n;
                     }
                 }
                 "--hostprof" => o.hostprof = true,
@@ -365,10 +355,6 @@ impl CliOptions {
 pub fn main_single(name: &str) -> ExitCode {
     let exp = by_name(name).unwrap_or_else(|| panic!("experiment {name} not registered"));
     let opts = CliOptions::parse(std::env::args().skip(1));
-    // Experiments build their GpuConfigs internally; the process-wide
-    // default lets one flag reach all of them. Sound because the
-    // parallel engine is byte-identical to serial at any thread count.
-    gscalar_sim::config::set_default_exec_threads(opts.sim_threads);
     gscalar_hostprof::set_enabled(opts.hostprof);
     let live = match opts.open_live() {
         Ok(l) => l,
@@ -426,8 +412,8 @@ fn run_single(
 
 /// Digest of the modeled hardware configuration, as recorded in every
 /// manifest by `Report::config`: the default [`GpuConfig`] with
-/// `exec_threads` normalized to 1, since the parallel engine is
-/// byte-identical to serial and must not fragment the cache.
+/// `exec_threads` normalized to 1: nothing reads that field, so it
+/// must not fragment the cache.
 #[must_use]
 pub fn config_digest() -> String {
     let cfg = GpuConfig {
@@ -510,8 +496,6 @@ mod tests {
             "4",
             "--budget",
             "5000",
-            "--sim-threads",
-            "2",
             "--hostprof",
             "--deterministic",
             "--live",
@@ -522,7 +506,6 @@ mod tests {
         assert!(matches!(o.scale, Scale::Test));
         assert_eq!(o.threads, 4);
         assert_eq!(o.budget, 5000);
-        assert_eq!(o.sim_threads, 2);
         assert!(o.hostprof);
         assert!(o.deterministic);
         assert_eq!(o.live.as_deref(), Some("/tmp/x.ndjson"));
@@ -531,7 +514,6 @@ mod tests {
         assert!(matches!(d.scale, Scale::Full));
         assert_eq!(d.threads, 1);
         assert_eq!(d.budget, 0);
-        assert_eq!(d.sim_threads, 1);
         assert!(!d.hostprof);
         assert!(!d.deterministic);
         assert!(d.live.is_none());

@@ -1,6 +1,6 @@
 //! End-to-end CLI contract for `--live`: attaching a telemetry stream
 //! to `probe` must leave the written manifest **byte-identical** to a
-//! run without it — serially and at `--sim-threads 4` — and the
+//! run without it — at two snapshot cadences — and the
 //! resulting stream must satisfy `watch check` and render via
 //! `watch --once`. This is the same gate ci.sh runs.
 
@@ -71,29 +71,27 @@ fn live_stream_leaves_probe_manifest_byte_identical() {
         "manifest changed when --live was attached (serial)"
     );
 
-    // And with the parallel execution engine inside each simulation.
-    let live4 = p("live4.json");
-    let stream4 = p("live4.ndjson");
+    // And at a finer snapshot cadence.
+    let live16 = p("live16.json");
+    let stream16 = p("live16.ndjson");
     run(
         "probe",
         &[
             "--scale",
             "test",
             "--deterministic",
-            "--sim-threads",
-            "4",
             "--json",
-            &s(&live4),
+            &s(&live16),
             "--live",
-            &s(&stream4),
+            &s(&stream16),
             "--live-interval",
-            "64",
+            "16",
         ],
     );
     assert_eq!(
         read(&base),
-        read(&live4),
-        "manifest changed when --live was attached (--sim-threads 4)"
+        read(&live16),
+        "manifest changed when --live was attached (--live-interval 16)"
     );
 
     // The stream passes strict validation: every line parses, at least

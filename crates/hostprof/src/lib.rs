@@ -99,10 +99,13 @@ pub enum Phase {
     IdleScan,
     /// Interval snapshot and observer-sample emission.
     Snapshot,
-    /// The parallel engine's serial barrier section (trace replay,
-    /// pending-memory resolution, epoch advance).
+    /// Always 0: the in-process parallel engine whose barrier section
+    /// it timed is gone. Kept so the phase vocabulary (and every metric
+    /// path and benchmark catalog built from it) stays stable.
     Barrier,
-    /// Pool threads waiting at the epoch barrier.
+    /// Always 0: there are no epoch-barrier waits since the in-process
+    /// parallel engine is gone. Kept for vocabulary stability, like
+    /// [`Phase::Barrier`].
     PoolIdle,
     /// Harness overhead: everything inside an instrumented region not
     /// claimed by a more specific phase.
@@ -160,7 +163,9 @@ pub enum Counter {
     PoolSteals,
     /// Steal probes that found an empty victim queue.
     PoolFailedSteals,
-    /// Barrier-synchronized epochs completed by the gang executor.
+    /// Always 0: the epoch executor that counted barrier-synchronized
+    /// epochs is gone. Kept for vocabulary stability, like
+    /// [`Phase::Barrier`].
     PoolEpochs,
 }
 
@@ -189,7 +194,8 @@ impl Counter {
 /// A process-wide log₂ histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hist {
-    /// Nanoseconds the epoch coordinator waits at each barrier.
+    /// Always empty: the epoch executor whose barrier waits it timed is
+    /// gone. Kept for vocabulary stability, like [`Phase::Barrier`].
     BarrierWaitNs,
     /// Own-queue depth observed at each work-stealing pop.
     QueueDepth,

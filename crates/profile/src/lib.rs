@@ -550,34 +550,6 @@ impl Profiler {
         self.data.map(|b| *b)
     }
 
-    /// An empty profiler of the same shape (same kernel, zeroed
-    /// counters) — or an off profiler if this one is off. Used by the
-    /// parallel engine to give each SM a private profiler whose counts
-    /// [`Profiler::absorb`] folds back in; every per-PC record is a
-    /// commutative counter or histogram, so the fold is
-    /// order-independent.
-    #[must_use]
-    pub fn fork(&self) -> Profiler {
-        match self.data.as_deref() {
-            Some(p) => Profiler::for_kernel(p.kernel_id(), p.kernel(), p.len()),
-            None => Profiler::off(),
-        }
-    }
-
-    /// Merges a forked profiler's counts back in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if exactly one side is off, or if both are on but for
-    /// different kernels (a fork of this profiler never is).
-    pub fn absorb(&mut self, other: Profiler) {
-        match (self.data.as_deref_mut(), other.data) {
-            (None, None) => {}
-            (Some(p), Some(o)) => p.merge(&o),
-            _ => panic!("absorbing a profiler with a different on/off state"),
-        }
-    }
-
     /// Charges one issue slot to `pc` with `lanes` active lanes;
     /// `divergent` marks a mask narrower than the full warp.
     #[inline]

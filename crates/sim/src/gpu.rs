@@ -13,7 +13,7 @@ use crate::stats::Stats;
 
 /// Safety valve: a run exceeding this many cycles panics instead of
 /// spinning forever (a workload bug, not a hardware condition).
-pub(crate) const WATCHDOG_CYCLES: u64 = 2_000_000_000;
+const WATCHDOG_CYCLES: u64 = 2_000_000_000;
 
 /// A complete GPU executing one kernel launch at a time.
 ///
@@ -100,9 +100,7 @@ impl Gpu {
 
     /// Runs `kernel` over `launch` against `gmem` with `probes`
     /// attached — the one simulation loop behind every other entry
-    /// point, on the serial engine or, when the resolved
-    /// [`GpuConfig::exec_threads`] exceeds 1, the byte-identical
-    /// parallel one (see [`crate::parallel`]).
+    /// point.
     ///
     /// # Errors
     ///
@@ -120,19 +118,6 @@ impl Gpu {
         gmem: &mut GlobalMemory,
         probes: &mut Probes<'_>,
     ) -> Result<RunOutput, BudgetExceeded> {
-        let exec_threads =
-            gscalar_pool::resolve_threads(self.cfg.exec_threads).min(self.cfg.num_sms);
-        if exec_threads > 1 {
-            return crate::parallel::run_parallel(
-                &self.cfg,
-                &self.arch,
-                exec_threads,
-                kernel,
-                launch,
-                gmem,
-                probes,
-            );
-        }
         let mut memsys = MemSystem::new(&self.cfg);
         let mut sms: Vec<Sm> = (0..self.cfg.num_sms)
             .map(|i| Sm::new(i, &self.cfg, &self.arch, kernel.num_regs() as usize))
@@ -249,7 +234,7 @@ impl Gpu {
 }
 
 /// Converts a linear CTA index to grid coordinates.
-pub(crate) fn cta_coord(linear: u64, grid: Dim3) -> Dim3 {
+fn cta_coord(linear: u64, grid: Dim3) -> Dim3 {
     let x = (linear % u64::from(grid.x)) as u32;
     let rest = linear / u64::from(grid.x);
     let y = (rest % u64::from(grid.y)) as u32;

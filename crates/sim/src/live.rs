@@ -4,7 +4,9 @@
 //! and emits NDJSON [`LiveRecord`]s to a [`gscalar_live::LiveHandle`]
 //! *while the run executes*: one `run_start`, periodic `snapshot`s
 //! (cumulative IPC, per-SM IPC, stall mix, compression ratio, MSHR
-//! occupancy, pool counters), and one `run_end`.
+//! occupancy, pool counters), and one `run_end`. The pool counters are
+//! process-global host state whose values depend on thread scheduling,
+//! so a deterministic stream reports them as zeros.
 //!
 //! Snapshots come from the run's one interval clock. The observer
 //! keeps its own cadence ([`LiveHandle::snapshot_interval`]) by
@@ -95,7 +97,16 @@ impl RunObserver for LiveObserver {
         } else {
             stats.instr.executed_scalar as f64 / stats.instr.warp_instrs as f64
         };
-        let pool = hostprof::snapshot();
+        let pool = if self.handle.deterministic() {
+            (0, 0, 0)
+        } else {
+            let host = hostprof::snapshot();
+            (
+                host.counter(hostprof::Counter::PoolSteals),
+                host.counter(hostprof::Counter::PoolFailedSteals),
+                host.counter(hostprof::Counter::PoolEpochs),
+            )
+        };
         self.handle.emit(&LiveRecord::Snapshot {
             run: self.run,
             cycle,
@@ -113,11 +124,7 @@ impl RunObserver for LiveObserver {
                 .iter()
                 .map(|(reason, count)| (reason.label().to_string(), count))
                 .collect(),
-            pool: (
-                pool.counter(hostprof::Counter::PoolSteals),
-                pool.counter(hostprof::Counter::PoolFailedSteals),
-                pool.counter(hostprof::Counter::PoolEpochs),
-            ),
+            pool,
             t_s: self.handle.now_s(),
         });
     }
@@ -225,6 +232,22 @@ mod tests {
             assert_eq!(*cycle, stats.cycles);
             assert_eq!(*warp_instrs, stats.instr.warp_instrs);
         }
+    }
+
+    #[test]
+    fn deterministic_stream_ignores_host_pool_counters() {
+        // Pool counters are process-global: steals recorded by anything
+        // else in the process must not reach a deterministic stream.
+        hostprof::reset();
+        let (_, quiet) = run_with_observer();
+        hostprof::set_enabled(true);
+        hostprof::counter_add(hostprof::Counter::PoolSteals, 3);
+        hostprof::counter_add(hostprof::Counter::PoolFailedSteals, 5);
+        hostprof::set_enabled(false);
+        let (_, after_steals) = run_with_observer();
+        hostprof::reset();
+        assert!(quiet.iter().any(|l| l.contains("\"snapshot\"")));
+        assert_eq!(quiet, after_steals);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Everything a run carries besides the machine: the event tracer, the
 //! per-PC profiler, interval observers, live telemetry and a
 //! simulated-cycle budget — bundled as [`Probes`] and driven by **one**
-//! interval clock that the serial and parallel engines share.
+//! interval clock.
 //!
 //! # The clock
 //!

@@ -80,110 +80,6 @@ fn drain_path_events(profiler: &mut Profiler, simt: &crate::simt::SimtStack) {
     }
 }
 
-/// Where an SM's global-memory traffic goes during a cycle.
-///
-/// The serial engine hands the SM direct mutable access to the shared
-/// state. The parallel engine (see [`crate::parallel`]) instead hands
-/// each SM a read-only snapshot of global memory plus a private
-/// [`EpochBuffer`]; the coordinator applies the buffered effects at the
-/// epoch barrier in (cycle, sm-id, issue-order) order, which reproduces
-/// the serial engine's memory-system access sequence exactly.
-#[derive(Debug)]
-pub enum MemPort<'a> {
-    /// Operate on the shared global memory and memory system in place.
-    Direct {
-        /// Global memory, read and written at issue time.
-        gmem: &'a mut GlobalMemory,
-        /// The shared timing hierarchy, accessed at dispatch time.
-        memsys: &'a mut MemSystem,
-    },
-    /// Read the epoch-start snapshot (overlaid with this SM's own
-    /// buffered stores) and defer stores and timing accesses.
-    Buffered {
-        /// Epoch-start snapshot of global memory.
-        gmem: &'a GlobalMemory,
-        /// This SM's deferred stores and memory-system requests.
-        buf: &'a mut EpochBuffer,
-    },
-}
-
-impl MemPort<'_> {
-    /// Reads a `u32`, seeing this SM's own earlier stores (byte-granular
-    /// overlay in buffered mode, so overlapping unaligned accesses
-    /// behave exactly as under the serial engine).
-    fn read_u32(&self, addr: u64) -> u32 {
-        match self {
-            MemPort::Direct { gmem, .. } => gmem.read_u32(addr),
-            MemPort::Buffered { gmem, buf } => {
-                let mut bytes = [0u8; 4];
-                for (i, b) in bytes.iter_mut().enumerate() {
-                    let a = addr + i as u64;
-                    *b = buf
-                        .writes
-                        .get(&a)
-                        .copied()
-                        .unwrap_or_else(|| gmem.read_u8(a));
-                }
-                u32::from_le_bytes(bytes)
-            }
-        }
-    }
-
-    /// Writes a `u32` (buffered mode: into the overlay, applied to the
-    /// real global memory at the epoch barrier).
-    fn write_u32(&mut self, addr: u64, v: u32) {
-        match self {
-            MemPort::Direct { gmem, .. } => gmem.write_u32(addr, v),
-            MemPort::Buffered { buf, .. } => {
-                for (i, b) in v.to_le_bytes().iter().enumerate() {
-                    buf.writes.insert(addr + i as u64, *b);
-                }
-            }
-        }
-    }
-}
-
-/// Per-SM buffer of one epoch's deferred global-memory effects
-/// (parallel engine only).
-#[derive(Debug, Default)]
-pub struct EpochBuffer {
-    /// Byte-granular store overlay: this SM's stores this epoch.
-    writes: std::collections::HashMap<u64, u8>,
-    /// Deferred memory-system requests, in issue order.
-    pending: Vec<PendingMem>,
-}
-
-impl EpochBuffer {
-    /// Takes the deferred memory-system requests (issue order).
-    pub(crate) fn take_pending(&mut self) -> Vec<PendingMem> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Applies and clears the buffered stores. Distinct byte addresses
-    /// commute and duplicates collapse to their final value, so the
-    /// map's iteration order cannot be observed in the result.
-    pub(crate) fn apply_writes(&mut self, gmem: &mut GlobalMemory) {
-        for (a, b) in self.writes.drain() {
-            gmem.write_u8(a, b);
-        }
-    }
-}
-
-/// A memory instruction whose [`MemSystem`] access was deferred by a
-/// buffered [`MemPort`]; resolved by [`Sm::resolve_pending`] at the
-/// epoch barrier.
-#[derive(Debug)]
-pub(crate) struct PendingMem {
-    inst: Inflight,
-    now: u64,
-    /// Completion floor before memory-system timing (dispatch occupancy
-    /// plus the L1 hit latency), exactly as the serial path computes it.
-    base_finish: u64,
-    /// Trace-sink position at dispatch time, used to splice the
-    /// deferred `Mem`/`ExecSpan` events back into serial order.
-    pub(crate) trace_pos: u64,
-}
-
 /// An instruction in flight between issue and writeback.
 #[derive(Debug, Clone)]
 struct Inflight {
@@ -248,8 +144,8 @@ pub struct Sm {
     /// nothing, collected no operands and wrote nothing back, so every
     /// cycle before `wake` (the next pipe completion or scoreboard
     /// release) repeats `last_stall` exactly and is replayed from it.
-    /// Cleared by anything else that can change a verdict: a CTA launch
-    /// and a deferred memory request resolving at an epoch barrier.
+    /// Cleared by the only outside event that can change a verdict: a
+    /// CTA launch.
     frozen_until: Option<u64>,
     /// Writeback scratch: instructions drained from the pipes this
     /// cycle. Reused every cycle so the hot path never allocates.
@@ -428,36 +324,15 @@ impl Sm {
         phys % self.cfg.rf_banks
     }
 
-    /// Runs one SM cycle against the shared memory state in place (the
-    /// serial engine's entry point). Returns the number of CTAs that
-    /// completed this cycle (the GPU replenishes them).
+    /// Runs one SM cycle against the shared global memory and memory
+    /// system. Returns the number of CTAs that completed this cycle (the
+    /// GPU replenishes them).
     pub fn cycle(
         &mut self,
         now: u64,
         kernel: &Kernel,
         gmem: &mut GlobalMemory,
         memsys: &mut MemSystem,
-        tracer: &mut Tracer<'_>,
-        profiler: &mut Profiler,
-    ) -> usize {
-        self.cycle_port(
-            now,
-            kernel,
-            &mut MemPort::Direct { gmem, memsys },
-            tracer,
-            profiler,
-        )
-    }
-
-    /// Runs one SM cycle against an arbitrary [`MemPort`]. With a
-    /// buffered port the cycle touches no shared state: stores land in
-    /// the buffer's overlay and memory-system requests are deferred for
-    /// `Sm::resolve_pending` at the epoch barrier.
-    pub fn cycle_port(
-        &mut self,
-        now: u64,
-        kernel: &Kernel,
-        port: &mut MemPort<'_>,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
@@ -535,7 +410,7 @@ impl Sm {
             }
         });
         for inst in ready {
-            self.dispatch(inst, now, port, tracer, profiler);
+            self.dispatch(inst, now, memsys, tracer, profiler);
         }
         drop(dispatch_phase);
 
@@ -543,7 +418,7 @@ impl Sm {
         let issued_before = self.stats.pipe.issued;
         let mut completed_ctas = 0;
         for s in 0..self.schedulers.len() {
-            completed_ctas += self.issue_one(s, now, kernel, port, rf_conflict, tracer, profiler);
+            completed_ctas += self.issue_one(s, now, kernel, gmem, rf_conflict, tracer, profiler);
         }
         if !wrote_back
             && !collecting
@@ -612,53 +487,6 @@ impl Sm {
         assert_eq!(Some(self.wake()), self.frozen_until, "wake at {now}");
     }
 
-    /// Resolves one deferred memory request at the epoch barrier,
-    /// replaying exactly what the serial dispatch path would have done
-    /// at the same point in the memory-system access order: the timed
-    /// (and traced) per-line accesses, the latency attribution, the
-    /// `ExecSpan` event, and the LSU completion.
-    pub(crate) fn resolve_pending(
-        &mut self,
-        p: PendingMem,
-        memsys: &mut MemSystem,
-        tracer: &mut Tracer<'_>,
-        profiler: &mut Profiler,
-    ) {
-        let PendingMem {
-            inst,
-            now,
-            base_finish,
-            trace_pos: _,
-        } = p;
-        self.frozen_until = None;
-        let mut finish = base_finish;
-        {
-            let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
-            for &line in &inst.mem_lines {
-                let t = memsys.access_traced(
-                    self.id,
-                    line,
-                    inst.store,
-                    now,
-                    &mut self.stats.mem,
-                    tracer,
-                );
-                finish = finish.max(t);
-            }
-        }
-        profiler.record_latency(inst.pc, finish.saturating_sub(now));
-        let sm_id = self.id as u32;
-        tracer.emit_with(now, || TraceEvent::ExecSpan {
-            sm: sm_id,
-            warp: inst.warp as u32,
-            pc: inst.pc as u32,
-            unit: unit_kind(inst.unit),
-            mode: inst.mode.trace_kind(),
-            end: finish,
-        });
-        self.lsu_pipe.complete_at(finish, inst);
-    }
-
     /// Earliest future event on this SM (pipe completion or scoreboard
     /// release), for idle-cycle skipping.
     #[must_use]
@@ -693,7 +521,7 @@ impl Sm {
         self.oc.any_pending()
     }
 
-    /// Charges `skipped` cycles jumped over by the engines' idle-skip
+    /// Charges `skipped` cycles jumped over by the GPU loop's idle-skip
     /// fast path to each scheduler's most recent stall reason, keeping
     /// the per-scheduler ledger exact:
     /// `issued + stalls.total() + skipped.total() == cycles`.
@@ -719,7 +547,7 @@ impl Sm {
         s: usize,
         now: u64,
         kernel: &Kernel,
-        port: &mut MemPort<'_>,
+        gmem: &mut GlobalMemory,
         rf_conflict: bool,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
@@ -750,7 +578,7 @@ impl Sm {
         self.stats.pipe.issued += 1;
         self.stats.sched[s].issued += 1;
         let _exec_phase = hostprof::phase(hostprof::Phase::Execute);
-        self.execute_instruction(w, s, now, kernel, port, tracer, profiler)
+        self.execute_instruction(w, s, now, kernel, gmem, tracer, profiler)
     }
 
     /// Charges scheduler `s`'s idle slot at `now` to `stall`.
@@ -796,7 +624,7 @@ impl Sm {
         s: usize,
         now: u64,
         kernel: &Kernel,
-        port: &mut MemPort<'_>,
+        gmem: &mut GlobalMemory,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) -> usize {
@@ -1133,7 +961,7 @@ impl Sm {
                         for (lane, v) in vals.iter_mut().enumerate() {
                             if mask & (1 << lane) != 0 {
                                 let a = lane_addr(warp, addr, offset, lane);
-                                *v = port.read_u32(a);
+                                *v = gmem.read_u32(a);
                                 push_line(&mut mem_lines, a, self.cfg.line_bytes as u64);
                             }
                         }
@@ -1164,7 +992,7 @@ impl Sm {
                         for lane in 0..ws {
                             if mask & (1 << lane) != 0 {
                                 let a = lane_addr(warp, addr, offset, lane);
-                                port.write_u32(a, warp.reg(src.index())[lane]);
+                                gmem.write_u32(a, warp.reg(src.index())[lane]);
                                 push_line(&mut mem_lines, a, self.cfg.line_bytes as u64);
                             }
                         }
@@ -1406,7 +1234,7 @@ impl Sm {
         &mut self,
         inst: Inflight,
         now: u64,
-        port: &mut MemPort<'_>,
+        memsys: &mut MemSystem,
         tracer: &mut Tracer<'_>,
         profiler: &mut Profiler,
     ) {
@@ -1476,35 +1304,17 @@ impl Sm {
                     if inst.mem_lines.len() == 1 {
                         self.stats.mem.fully_coalesced += 1;
                     }
-                    match port {
-                        MemPort::Direct { memsys, .. } => {
-                            let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
-                            for &line in &inst.mem_lines {
-                                let t = memsys.access_traced(
-                                    self.id,
-                                    line,
-                                    inst.store,
-                                    now,
-                                    &mut self.stats.mem,
-                                    tracer,
-                                );
-                                finish = finish.max(t);
-                            }
-                        }
-                        MemPort::Buffered { buf, .. } => {
-                            // Defer the shared-hierarchy access: the
-                            // coordinator resolves it at the barrier at
-                            // this exact point in the access order (and
-                            // splices the deferred trace events back in
-                            // at `trace_pos`).
-                            buf.pending.push(PendingMem {
-                                inst,
-                                now,
-                                base_finish: finish,
-                                trace_pos: tracer.position(),
-                            });
-                            return;
-                        }
+                    let _mem_phase = hostprof::phase(hostprof::Phase::Memsys);
+                    for &line in &inst.mem_lines {
+                        let t = memsys.access_traced(
+                            self.id,
+                            line,
+                            inst.store,
+                            now,
+                            &mut self.stats.mem,
+                            tracer,
+                        );
+                        finish = finish.max(t);
                     }
                 }
                 profiler.record_latency(inst.pc, finish.saturating_sub(now));

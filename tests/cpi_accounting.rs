@@ -2,7 +2,7 @@
 //! suite and randomized divergent/looping kernels alike — each
 //! (SM, scheduler) ledger charges exactly one slot per cycle, so the
 //! analyzer's stacks reconcile to `cycles × ledgers` at kernel, per-SM
-//! and per-scheduler granularity, serial and parallel byte-identically.
+//! and per-scheduler granularity.
 
 use gscalar::analyze::CpiStack;
 use gscalar::core::Arch;
@@ -13,12 +13,11 @@ use gscalar::trace::{EventBuf, StallReason, Tracer};
 use gscalar::workloads::{suite, Scale};
 use proptest::prelude::*;
 
-/// A multi-SM configuration so idle-skip bulk charging, per-SM merge
-/// and the parallel engine all participate.
-fn multi_sm_config(threads: usize) -> GpuConfig {
+/// A multi-SM configuration so idle-skip bulk charging and the per-SM
+/// merge participate.
+fn multi_sm_config() -> GpuConfig {
     let mut cfg = GpuConfig::test_small();
     cfg.num_sms = 4;
-    cfg.exec_threads = threads;
     cfg
 }
 
@@ -27,9 +26,8 @@ fn run_with_per_sm(
     kernel: &Kernel,
     launch: LaunchConfig,
     init: &GlobalMemory,
-    threads: usize,
 ) -> (Stats, Vec<Stats>) {
-    let mut gpu = Gpu::new(multi_sm_config(threads), Arch::Baseline.config());
+    let mut gpu = Gpu::new(multi_sm_config(), Arch::Baseline.config());
     let run = gpu.run_with(kernel, launch, &mut init.clone(), &mut Probes::default());
     let RunOutput { stats, per_sm } = run.expect("no budget set");
     (stats, per_sm)
@@ -65,7 +63,7 @@ fn assert_reconciles(merged: &Stats, per_sm: &[Stats], num_sms: usize, what: &st
 #[test]
 fn suite_stacks_reconcile_at_test_scale() {
     for w in suite(Scale::Test) {
-        let (merged, per_sm) = run_with_per_sm(&w.kernel, w.launch, &w.memory, 1);
+        let (merged, per_sm) = run_with_per_sm(&w.kernel, w.launch, &w.memory);
         assert_reconciles(&merged, &per_sm, 4, &w.abbr);
     }
 }
@@ -184,15 +182,8 @@ proptest! {
         for t in 0..u64::from(ctas * warps * 32) {
             init.write_u32(0x10_0000 + t * 4, (t * 17 + 3) as u32);
         }
-        let (serial, serial_per_sm) = run_with_per_sm(&kernel, launch, &init, 1);
-        assert_reconciles(&serial, &serial_per_sm, 4, "serial");
-        // The new ledgers obey the determinism contract too: a 4-thread
-        // run carries byte-identical stats (sched ledgers, MSHR
-        // occupancy histogram and all) at every granularity.
-        let (parallel, parallel_per_sm) = run_with_per_sm(&kernel, launch, &init, 4);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(&serial_per_sm, &parallel_per_sm);
-        assert_reconciles(&parallel, &parallel_per_sm, 4, "parallel");
+        let (merged, per_sm) = run_with_per_sm(&kernel, launch, &init);
+        assert_reconciles(&merged, &per_sm, 4, "random kernel");
     }
 }
 
@@ -280,8 +271,8 @@ proptest! {
             init.write_u32(0x10_0000 + t * 4, (t * 7 + 1) as u32);
         }
         for arch in [Arch::Baseline, Arch::GScalar] {
-            let run = |threads: usize, observed: bool| {
-                let mut gpu = Gpu::new(multi_sm_config(threads), arch.config());
+            let run = |observed: bool| {
+                let mut gpu = Gpu::new(multi_sm_config(), arch.config());
                 let mut buf = EventBuf::new(1 << 16);
                 let mut probes = Probes::default();
                 if observed {
@@ -291,7 +282,7 @@ proptest! {
                 let run = gpu.run_with(&kernel, launch, &mut init.clone(), &mut probes);
                 run.expect("no budget set")
             };
-            let plain = run(1, false);
+            let plain = run(false);
             let stats = &plain.stats;
             prop_assert!(stats.pipe.stalls.get(StallReason::MemPending) > 0);
             prop_assert_eq!(stats.pipe.stalls.total(), stats.pipe.scheduler_idle_cycles);
@@ -304,12 +295,9 @@ proptest! {
                     );
                 }
             }
-            let observed = run(1, true);
+            let observed = run(true);
             prop_assert_eq!(&observed.stats, stats);
             prop_assert_eq!(&observed.per_sm, &plain.per_sm);
-            let parallel = run(2, false);
-            prop_assert_eq!(&parallel.stats, stats);
-            prop_assert_eq!(&parallel.per_sm, &plain.per_sm);
         }
     }
 }

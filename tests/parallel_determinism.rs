@@ -1,13 +1,16 @@
-//! The parallel execution engine's determinism contract: at any thread
-//! count, `Gpu::run_with` must produce results **byte-identical** to the
-//! serial engine — same `Stats`, same final memory image, same trace
-//! event sequence, same per-PC profile, same budget abort — whatever
-//! probes are attached, and attaching them must never change what the
-//! run computes.
+//! Observer neutrality: attaching probes to `Gpu::run_with` — tracer,
+//! profiler, interval observers, live telemetry, host-side profiling,
+//! a budget past the end — must never change what the run computes:
+//! same `Stats`, same final memory image, same trace event sequence,
+//! same per-PC profile.
 //!
-//! Exercised three ways: over the full benchmark suite at test scale,
-//! over randomized kernels (ALU mixes, loads/stores, divergence, loops)
+//! Exercised three ways: over the benchmark suite at test scale, over
+//! randomized kernels (ALU mixes, loads/stores, divergence, loops)
 //! generated by proptest, and over a table of probe combinations.
+//!
+//! The file keeps its historical name from when it also compared a
+//! second, multi-threaded engine against the serial loop; with one
+//! simulation loop left, only the neutrality checks remain.
 
 use gscalar::core::{Arch, Probes, Runner, Workload};
 use gscalar::isa::{CmpOp, Kernel, KernelBuilder, LaunchConfig, Operand, SReg};
@@ -23,12 +26,11 @@ fn gscalar_arch() -> ArchConfig {
     Arch::GScalar.config()
 }
 
-/// A small multi-SM configuration: the 1-SM `test_small` would cap the
-/// engine back to serial, so widen it to 4 SMs.
-fn multi_sm_config(threads: usize) -> GpuConfig {
+/// A small multi-SM configuration, so per-SM snapshots, CTA refills and
+/// the whole-chip idle skip all participate.
+fn multi_sm_config() -> GpuConfig {
     let mut cfg = GpuConfig::test_small();
     cfg.num_sms = 4;
-    cfg.exec_threads = threads;
     cfg
 }
 
@@ -39,15 +41,9 @@ struct Instrumented {
     profile: Option<gscalar::sim::KernelProfile>,
 }
 
-/// Runs `kernel` fully instrumented (tracing with snapshots and
-/// profiling at once) on `threads` executor threads.
-fn run_instrumented(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    init: &GlobalMemory,
-    threads: usize,
-) -> Instrumented {
-    let mut gpu = Gpu::new(multi_sm_config(threads), gscalar_arch());
+/// Runs `kernel` fully instrumented (tracing and profiling at once).
+fn run_instrumented(kernel: &Kernel, launch: LaunchConfig, init: &GlobalMemory) -> Instrumented {
+    let mut gpu = Gpu::new(multi_sm_config(), gscalar_arch());
     let mut mem = init.clone();
     let mut buf = EventBuf::new(1 << 20);
     let mut probes = Probes {
@@ -66,115 +62,48 @@ fn run_instrumented(
     }
 }
 
-fn assert_identical(serial: &Instrumented, parallel: &Instrumented, what: &str) {
-    assert_eq!(serial.stats, parallel.stats, "{what}: stats diverge");
+fn assert_identical(base: &Instrumented, probed: &Instrumented, what: &str) {
+    assert_eq!(base.stats, probed.stats, "{what}: stats diverge");
     assert!(
-        parallel.mem.content_eq(&serial.mem),
+        probed.mem.content_eq(&base.mem),
         "{what}: memory diverges at {:?}",
-        parallel.mem.first_difference(&serial.mem)
+        probed.mem.first_difference(&base.mem)
     );
     assert_eq!(
-        serial.trace.len(),
-        parallel.trace.len(),
+        base.trace.len(),
+        probed.trace.len(),
         "{what}: trace length diverges"
     );
-    for (i, (s, p)) in serial.trace.iter().zip(&parallel.trace).enumerate() {
+    for (i, (s, p)) in base.trace.iter().zip(&probed.trace).enumerate() {
         assert_eq!(s, p, "{what}: trace record {i} diverges");
     }
-    assert_eq!(serial.profile, parallel.profile, "{what}: profile diverges");
+    assert_eq!(base.profile, probed.profile, "{what}: profile diverges");
 }
 
-#[test]
-fn suite_stats_and_memory_are_identical_across_thread_counts() {
-    for w in suite(Scale::Test) {
-        let mut serial_mem = w.memory.clone();
-        let serial =
-            Gpu::new(multi_sm_config(1), gscalar_arch()).run(&w.kernel, w.launch, &mut serial_mem);
-        for threads in [2, 4] {
-            let mut mem = w.memory.clone();
-            let stats = Gpu::new(multi_sm_config(threads), gscalar_arch())
-                .run(&w.kernel, w.launch, &mut mem);
-            assert_eq!(serial, stats, "{} at {threads} threads: stats", w.abbr);
-            assert!(
-                mem.content_eq(&serial_mem),
-                "{} at {threads} threads: memory diverges at {:?}",
-                w.abbr,
-                mem.first_difference(&serial_mem)
-            );
-        }
-    }
-}
-
-#[test]
-fn suite_traces_with_snapshots_are_identical() {
-    // Traced runs (with periodic snapshots) on a slice of the suite.
-    for w in suite(Scale::Test).into_iter().take(4) {
-        let run = |threads: usize| -> (Stats, Vec<Record>) {
-            let mut gpu = Gpu::new(multi_sm_config(threads), gscalar_arch());
-            let mut mem = w.memory.clone();
-            let mut buf = EventBuf::new(1 << 20);
-            let stats = {
-                let mut tracer = Tracer::new(&mut buf);
-                gpu.run_traced(&w.kernel, w.launch, &mut mem, &mut tracer, 64)
-            };
-            (stats, buf.records().into_iter().cloned().collect())
-        };
-        let (serial_stats, serial_trace) = run(1);
-        for threads in [2, 4] {
-            let (stats, trace) = run(threads);
-            assert_eq!(serial_stats, stats, "{} at {threads} threads", w.abbr);
-            assert_eq!(
-                serial_trace.len(),
-                trace.len(),
-                "{} at {threads} threads: trace length",
-                w.abbr
-            );
-            for (i, (s, p)) in serial_trace.iter().zip(&trace).enumerate() {
-                assert_eq!(s, p, "{} at {threads} threads: record {i}", w.abbr);
-            }
-        }
-    }
-}
-
-/// Serializes tests that touch process-wide state (tests in this binary
-/// run concurrently): the installed live-telemetry handle, and the host
-/// profiler, whose pool counters ride in every live snapshot.
-static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// Serializes the tests that install the process-wide live-telemetry
+/// handle (tests in this binary run concurrently, and `Runner` attaches
+/// whatever handle is installed).
+static LIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn suite_outputs_are_identical_with_hostprof_enabled() {
-    let _guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     // Host-side profiling only reads clocks and writes its own
     // accumulators; enabling it must leave every simulated artifact
-    // byte-identical, serial and parallel alike.
+    // byte-identical.
     for w in suite(Scale::Test).into_iter().take(4) {
         gscalar::hostprof::set_enabled(false);
-        let baseline = run_instrumented(&w.kernel, w.launch, &w.memory, 1);
+        let baseline = run_instrumented(&w.kernel, w.launch, &w.memory);
         gscalar::hostprof::set_enabled(true);
-        let on_serial = run_instrumented(&w.kernel, w.launch, &w.memory, 1);
-        let on_parallel = run_instrumented(&w.kernel, w.launch, &w.memory, 4);
+        let on = run_instrumented(&w.kernel, w.launch, &w.memory);
         gscalar::hostprof::set_enabled(false);
-        assert_identical(
-            &baseline,
-            &on_serial,
-            &format!("{}: hostprof on, serial", w.abbr),
-        );
-        assert_identical(
-            &baseline,
-            &on_parallel,
-            &format!("{}: hostprof on, 4 threads", w.abbr),
-        );
+        assert_identical(&baseline, &on, &format!("{}: hostprof on", w.abbr));
     }
 }
 
 /// Runs `w` through the core `Runner` — the layer where live telemetry
 /// attaches — traced, optionally with a deterministic in-memory live
 /// stream installed. Returns the stream's lines when live was on.
-fn run_via_runner(
-    w: &Workload,
-    threads: usize,
-    live: bool,
-) -> (Stats, Vec<Record>, Option<Vec<String>>) {
+fn run_via_runner(w: &Workload, live: bool) -> (Stats, Vec<Record>, Option<Vec<String>>) {
     let handle = live.then(|| {
         let h = gscalar::live::LiveHandle::memory(gscalar::live::StreamConfig {
             deterministic: true,
@@ -184,7 +113,7 @@ fn run_via_runner(
         gscalar::live::install(h.clone());
         h
     });
-    let runner = Runner::new(multi_sm_config(threads));
+    let runner = Runner::new(multi_sm_config());
     let mut buf = EventBuf::new(1 << 20);
     let mut probes = Probes {
         tracer: Tracer::new(&mut buf),
@@ -210,27 +139,23 @@ fn run_via_runner(
 fn suite_outputs_are_identical_with_live_telemetry() {
     // Live telemetry observes cumulative stats at sample boundaries and
     // streams them out of band; attaching it must leave stats and trace
-    // byte-identical, serial and parallel alike — and the deterministic
-    // stream itself must not depend on the thread count.
-    let _guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    // byte-identical — and the deterministic stream itself must be the
+    // same on every repeat.
+    let _guard = LIVE.lock().unwrap_or_else(|e| e.into_inner());
     for w in suite(Scale::Test).into_iter().take(4) {
-        let (base_stats, base_trace, _) = run_via_runner(&w, 1, false);
-        let mut serial_lines = None;
-        for threads in [1, 4] {
-            let (stats, trace, lines) = run_via_runner(&w, threads, true);
-            assert_eq!(
-                base_stats, stats,
-                "{}: live on, {threads} threads: stats",
-                w.abbr
-            );
+        let (base_stats, base_trace, _) = run_via_runner(&w, false);
+        let mut first_lines = None;
+        for repeat in 0..2 {
+            let (stats, trace, lines) = run_via_runner(&w, true);
+            assert_eq!(base_stats, stats, "{}: live on: stats", w.abbr);
             assert_eq!(
                 base_trace.len(),
                 trace.len(),
-                "{}: live on, {threads} threads: trace length",
+                "{}: live on: trace length",
                 w.abbr
             );
             for (i, (s, p)) in base_trace.iter().zip(&trace).enumerate() {
-                assert_eq!(s, p, "{}: live on, {threads} threads: record {i}", w.abbr);
+                assert_eq!(s, p, "{}: live on: record {i}", w.abbr);
             }
             let lines = lines.unwrap();
             assert!(
@@ -243,11 +168,11 @@ fn suite_outputs_are_identical_with_live_telemetry() {
                 "{}: no run_end in stream",
                 w.abbr
             );
-            match &serial_lines {
-                None => serial_lines = Some(lines),
-                Some(serial) => assert_eq!(
-                    serial, &lines,
-                    "{}: deterministic stream differs at {threads} threads",
+            match &first_lines {
+                None => first_lines = Some(lines),
+                Some(first) => assert_eq!(
+                    first, &lines,
+                    "{}: deterministic stream differs on repeat {repeat}",
                     w.abbr
                 ),
             }
@@ -255,73 +180,14 @@ fn suite_outputs_are_identical_with_live_telemetry() {
     }
 }
 
-#[test]
-fn budget_aborts_identically_across_engines() {
-    // A budget tripping mid-run ends both engines at the same boundary
-    // with the same error, the same trace prefix and the same caller
-    // memory: every store up to the abort and none after it.
-    for w in suite(Scale::Test).into_iter().take(4) {
-        let full = Gpu::new(multi_sm_config(1), gscalar_arch())
-            .run(&w.kernel, w.launch, &mut w.memory.clone())
-            .cycles;
-        let abort = |threads: usize| {
-            let mut mem = w.memory.clone();
-            let mut buf = EventBuf::new(1 << 20);
-            let mut probes = Probes {
-                tracer: Tracer::new(&mut buf),
-                budget: full / 2,
-                ..Probes::default()
-            };
-            let err = Gpu::new(multi_sm_config(threads), gscalar_arch())
-                .run_with(&w.kernel, w.launch, &mut mem, &mut probes)
-                .expect_err("budget must trip mid-run");
-            drop(probes);
-            (err, mem, buf.into_records())
-        };
-        let (serial_err, serial_mem, serial_trace) = abort(1);
-        assert_eq!(serial_err.budget, full / 2, "{}", w.abbr);
-        assert!(
-            serial_err.cycles >= full / 2 && serial_err.cycles < full,
-            "{}: abort at {} of {full}",
-            w.abbr,
-            serial_err.cycles
-        );
-        let (err, mem, trace) = abort(2);
-        assert_eq!(serial_err, err, "{}: abort point", w.abbr);
-        assert!(
-            mem.content_eq(&serial_mem),
-            "{}: memory at abort diverges at {:?}",
-            w.abbr,
-            mem.first_difference(&serial_mem)
-        );
-        assert!(serial_trace == trace, "{}: trace up to abort", w.abbr);
-    }
-}
-
-/// Everything one run produced through its probes.
-#[derive(Debug, PartialEq)]
-struct Probed {
-    stats: Stats,
-    trace: Vec<Record>,
-    profile: Option<gscalar::sim::KernelProfile>,
-    metrics: Vec<(String, f64)>,
-    timeline: Vec<gscalar::power::telemetry::PowerInterval>,
-    live: Option<Vec<String>>,
-}
-
-/// Runs `w` on `threads` engine threads with the probes selected by
-/// the six bits of `combo` (tracer, profiler, metrics + power
-/// observers, live stream, 16-cycle interval, budget past the end),
-/// checking each probe's own invariants against the plain run.
-fn run_probed(
-    w: &Workload,
-    combo: u32,
-    threads: usize,
-    plain: &gscalar::core::RunReport,
-) -> Probed {
+/// Runs `w` with the probes selected by the six bits of `combo`
+/// (tracer, profiler, metrics + power observers, live stream, 16-cycle
+/// interval, budget past the end), checking each probe's own
+/// invariants against the plain run.
+fn run_probed(w: &Workload, combo: u32, plain: &gscalar::core::RunReport) {
     let on = |bit: u32| combo & (1 << bit) != 0;
-    let what = format!("probes {combo:06b} at {threads} threads");
-    let runner = Runner::new(multi_sm_config(threads));
+    let what = format!("probes {combo:06b}");
+    let runner = Runner::new(multi_sm_config());
     let arch = Arch::GScalar;
     let live = on(3).then(|| {
         let h = gscalar::live::LiveHandle::memory(gscalar::live::StreamConfig {
@@ -439,19 +305,11 @@ fn run_probed(
             "{what}: live snapshots"
         );
     }
-    Probed {
-        stats: report.stats,
-        trace,
-        profile,
-        metrics: metrics.into_registry().flatten(),
-        timeline: timeline.intervals().to_vec(),
-        live: lines,
-    }
 }
 
 #[test]
 fn probe_combinations_never_perturb_the_run() {
-    let _guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = LIVE.lock().unwrap_or_else(|e| e.into_inner());
     let steps = [Step::Load, Step::Diverge(9), Step::Loop(3), Step::Store];
     let launch = LaunchConfig::linear(6, 64);
     let mut init = GlobalMemory::new();
@@ -459,13 +317,29 @@ fn probe_combinations_never_perturb_the_run() {
         init.write_u32(0x10_0000 + t * 4, (t * 17 + 3) as u32);
     }
     let w = Workload::new("probes", "PR", build_kernel(&steps), launch, init);
-    let plain = Runner::new(multi_sm_config(1)).run(&w, Arch::GScalar);
+    let plain = Runner::new(multi_sm_config()).run(&w, Arch::GScalar);
     for combo in 0..64 {
-        let serial = run_probed(&w, combo, 1, &plain);
-        let parallel = run_probed(&w, combo, 2, &plain);
+        run_probed(&w, combo, &plain);
+    }
+    // A budget inside the run ends it at the first clock boundary at or
+    // past the budget, before the run would have finished.
+    for w in suite(Scale::Test).into_iter().take(4) {
+        let full = Gpu::new(multi_sm_config(), gscalar_arch())
+            .run(&w.kernel, w.launch, &mut w.memory.clone())
+            .cycles;
+        let mut probes = Probes {
+            budget: full / 2,
+            ..Probes::default()
+        };
+        let err = Gpu::new(multi_sm_config(), gscalar_arch())
+            .run_with(&w.kernel, w.launch, &mut w.memory.clone(), &mut probes)
+            .expect_err("budget must trip mid-run");
+        assert_eq!(err.budget, full / 2, "{}", w.abbr);
         assert!(
-            serial == parallel,
-            "probes {combo:06b}: serial and 2 threads differ"
+            err.cycles >= full / 2 && err.cycles < full,
+            "{}: abort at {} of {full}",
+            w.abbr,
+            err.cycles
         );
     }
 }
@@ -560,25 +434,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn random_kernels_are_byte_identical_across_thread_counts(
-        steps in proptest::collection::vec(step_strategy(), 1..10),
-        ctas in 1u32..7,
-        warps in 1u32..3,
-    ) {
-        let kernel = build_kernel(&steps);
-        let launch = LaunchConfig::linear(ctas, warps * 32);
-        let mut init = GlobalMemory::new();
-        for t in 0..u64::from(ctas * warps * 32) {
-            init.write_u32(0x10_0000 + t * 4, (t * 17 + 3) as u32);
-        }
-        let serial = run_instrumented(&kernel, launch, &init, 1);
-        for threads in [2, 4] {
-            let parallel = run_instrumented(&kernel, launch, &init, threads);
-            assert_identical(&serial, &parallel, &format!("{threads} threads"));
-        }
-    }
-
-    #[test]
     fn hostprof_enabled_perturbs_nothing(
         steps in proptest::collection::vec(step_strategy(), 1..8),
         ctas in 1u32..5,
@@ -589,15 +444,12 @@ proptest! {
         for t in 0..u64::from(ctas * 32) {
             init.write_u32(0x10_0000 + t * 4, (t * 17 + 3) as u32);
         }
-        let _guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
         gscalar::hostprof::set_enabled(false);
-        let baseline = run_instrumented(&kernel, launch, &init, 1);
+        let baseline = run_instrumented(&kernel, launch, &init);
         gscalar::hostprof::set_enabled(true);
-        let on_serial = run_instrumented(&kernel, launch, &init, 1);
-        let on_parallel = run_instrumented(&kernel, launch, &init, 4);
+        let on = run_instrumented(&kernel, launch, &init);
         gscalar::hostprof::set_enabled(false);
-        assert_identical(&baseline, &on_serial, "hostprof on, serial");
-        assert_identical(&baseline, &on_parallel, "hostprof on, 4 threads");
+        assert_identical(&baseline, &on, "hostprof on");
     }
 
     #[test]
@@ -612,25 +464,18 @@ proptest! {
             init.write_u32(0x10_0000 + t * 4, (t * 17 + 3) as u32);
         }
         let w = Workload::new("rand", "RAND", kernel, launch, init);
-        let _guard = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
-        let (base_stats, base_trace, _) = run_via_runner(&w, 1, false);
-        for threads in [1, 4] {
-            let (stats, trace, lines) = run_via_runner(&w, threads, true);
-            prop_assert_eq!(&base_stats, &stats, "live on, {} threads: stats", threads);
-            prop_assert_eq!(
-                base_trace.len(),
-                trace.len(),
-                "live on, {} threads: trace length",
-                threads
-            );
-            for (i, (s, p)) in base_trace.iter().zip(&trace).enumerate() {
-                prop_assert_eq!(s, p, "live on, {} threads: record {}", threads, i);
-            }
-            // Tiny kernels may finish before the first snapshot
-            // boundary, but the run lifecycle always streams.
-            let lines = lines.unwrap();
-            prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_start\"")));
-            prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_end\"")));
+        let _guard = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+        let (base_stats, base_trace, _) = run_via_runner(&w, false);
+        let (stats, trace, lines) = run_via_runner(&w, true);
+        prop_assert_eq!(&base_stats, &stats, "live on: stats");
+        prop_assert_eq!(base_trace.len(), trace.len(), "live on: trace length");
+        for (i, (s, p)) in base_trace.iter().zip(&trace).enumerate() {
+            prop_assert_eq!(s, p, "live on: record {}", i);
         }
+        // Tiny kernels may finish before the first snapshot boundary,
+        // but the run lifecycle always streams.
+        let lines = lines.unwrap();
+        prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_start\"")));
+        prop_assert!(lines.iter().any(|l| l.contains("\"type\":\"run_end\"")));
     }
 }
